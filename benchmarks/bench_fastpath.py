@@ -61,7 +61,6 @@ def _run_stream(
         model,
         planner,
         capacity_bytes=BUDGET,
-        coalescing=planner.allocator_coalescing,
         replay=replay,
         compiled=compiled,
         faults=faults.build() if faults is not None else None,

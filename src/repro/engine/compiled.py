@@ -6,11 +6,12 @@ allocator state.  Multi-size input streams (the paper's Fig. 10 regime)
 defeat it — every new sequence length is a new world — even though the
 iteration that runs is structurally the *same program* at a different
 input size.  This module generalises replay from exact recurrence to
-**near-recurrence**: when an iteration completes in steady state, a one-
-off certification pass records a *symbolic iteration template* for its
-world class ``(mode, assignment, label, dtype, allocator signature)``;
-a later iteration in the same class with a new input size is then served
-by one template evaluation instead of a full tensor-level simulation.
+**near-recurrence**: when an iteration completes in steady state,
+certification lifts its recorded trace into a *symbolic iteration
+template* for its world class ``(mode, assignment, label, dtype,
+allocator signature)``; a later iteration in the same class with a new
+input size is then served by one template evaluation instead of a full
+tensor-level simulation.
 The executor's lookup ladder becomes three tiers::
 
     exact replay hit  →  compiled-template hit  →  full simulation
@@ -32,30 +33,31 @@ or freed at each step, and which component is charged when, never
 depend on the input size.  Only the *sizes* (and through them the
 times) do, and each allocation's byte count comes from a profile-
 derived source: the iteration input, one activation record, or one unit
-boundary.  Certification re-executes the recorded iteration against a
-:meth:`~repro.tensorsim.allocator.CachingAllocator.clone` wrapped in a
-recording tap, demands the shadow reproduce the recorded
-:class:`~repro.engine.stats.IterationStats` bit for bit, and lifts the
-trace into that symbolic form: an alloc/free program over size sources,
-the strategy's :meth:`~repro.engine.strategies.ExecutionStrategy
-.charge_plan` charge program (verified charge for charge against the
-shadow), and the mapping from COLLECT measurements to the saved-record
-allocations they sum.
+boundary.  Certification needs no second execution: the full
+simulation that stored the replay record ran with the allocator's op log
+(:attr:`~repro.tensorsim.allocator.CachingAllocator.op_log`) and the
+stats builder's charge log armed, so the certifier lifts that pass's own
+malloc/free trace into the symbolic form — an alloc/free program over
+size sources, the strategy's :meth:`~repro.engine.strategies
+.ExecutionStrategy.charge_plan` charge program (verified charge for
+charge against the recorded ``TimeCharged`` stream), and the mapping
+from COLLECT measurements (the record's own) to the saved-record
+allocations they sum.  The starting free list and in-use bytes are
+decoded from the world's allocator signature.
 
 **Evaluation** instantiates the request sizes from the unit profiles at
-the new batch and interprets the alloc/free program against the world
-class's starting free list using the allocator's own decision rules —
-address-ordered best fit, split-versus-absorb at
-``MIN_SPLIT_REMAINDER``, segment-local coalescing — reproducing the
-exact block sizes full simulation would produce, at free-list cost
-instead of tensor-simulation cost (no tensors, no events, no block
-linked lists, no signature hashing).  The charge program then folds in
-emission order (bit-identical float accumulation) and the measurement
-spec sums the same block sizes the sheltered collector would have
-observed.  The evaluation serves only if the interpreted free list
-round-trips to its starting state — the same steady-state proof the
-replay tier stores under — so a served iteration leaves the world
-exactly as full simulation would have.  A size at which the program
+the new batch and places the alloc/free program on a copy of the world
+class's starting free list with the allocator's own placement core,
+:class:`~repro.tensorsim.allocator.FreeList` — the same best fit, split
+and coalescing decisions full simulation makes, at free-list cost
+instead of tensor-simulation cost (no tensors, no events, no signature
+hashing).  The charge program then folds in emission order
+(bit-identical float accumulation) and the measurement spec sums the
+same block sizes the sheltered collector would have observed.  The
+evaluation serves only if the placed free list round-trips to its
+starting state — the same steady-state proof the replay tier stores
+under — so a served iteration leaves the world exactly as full
+simulation would have.  A size at which the program
 does not fit or does not round-trip falls back to full simulation; any
 *structural* drift (profile shapes, record names, upkeep rate) deletes
 the template, and full simulation may re-certify.
@@ -70,22 +72,15 @@ use; the estimator keeps its planning role (see
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import OrderedDict
-from dataclasses import replace
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, ClassVar, NamedTuple, Optional, Sequence
 
-from repro.engine.events import EventBus, MeasurementTaken, TimeCharged
+from repro.engine.events import TimeCharged
 from repro.engine.replay import ReplayKey, ReplayRecord
 from repro.engine.stats import IterationStats, UnitMeasurement
-from repro.engine.strategies import (
-    IterationContext, StatsBuilder, SwapEngine, strategy_for,
-)
-from repro.tensorsim.allocator import (
-    MIN_SPLIT_REMAINDER, OutOfMemoryError, _align_up,
-)
-from repro.tensorsim.clock import SimClock
-from repro.tensorsim.tensor import SimTensor
+from repro.engine.strategies import strategy_for
+from repro.tensorsim.allocator import FreeList, request_size
 
 if TYPE_CHECKING:
     from repro.engine.executor import TrainingExecutor
@@ -97,12 +92,6 @@ if TYPE_CHECKING:
 _SRC_INPUT = 0  # the iteration input tensor
 _SRC_RECORD = 1  # (unit_idx, record_idx) activation record
 _SRC_BOUNDARY = 2  # (unit_idx,) unit output boundary
-
-# Free slots are addressed by (segment index << _SEG_SHIFT) + offset, which
-# preserves absolute address order (segments indexed by base order) while
-# keeping neighbour arithmetic plain integer adds.  No segment approaches
-# 2**48 bytes, so offsets never carry into the segment bits.
-_SEG_SHIFT = 48
 
 
 class _Reject(Exception):
@@ -131,112 +120,38 @@ class CompiledKey(NamedTuple):
                    key.signature)
 
 
-class _TapAllocator:
-    """Transparent allocator proxy recording every malloc/free.
-
-    Reads (``stats``, ``bytes_in_use``, …) delegate straight to the
-    wrapped clone; the two mutators append to :attr:`ops` so the
-    template builder can recover the symbolic alloc/free program.
-    """
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.ops: list[tuple] = []
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def malloc(self, nbytes: int, *, owner: str = ""):
-        inner = self._inner
-        stats = inner.stats
-        pre_segs = stats.num_segments
-        pre_reserved = stats.bytes_reserved
-        block = inner.malloc(nbytes, owner=owner)
-        self.ops.append((
-            "m", owner, nbytes, block.addr, block.size,
-            stats.num_segments != pre_segs
-            or stats.bytes_reserved != pre_reserved,
-        ))
-        return block
-
-    def free(self, block) -> None:
-        self.ops.append(("f", block.addr, block.size))
-        self._inner.free(block)
-
-
-class _ShadowExecutor:
-    """Duck-typed executor for the certification shadow run.
-
-    Shares the real executor's model, planner, device and unit-time
-    cache, but owns a private clock, event bus, swap engine and the
-    tapped allocator clone — the real executor is never touched.
-    """
-
-    def __init__(self, executor: "TrainingExecutor", tap: _TapAllocator) -> None:
-        self._real = executor
-        self.allocator = tap
-        self.clock = SimClock()
-        self.device = executor.device
-        self.events = EventBus()
-        self.faults = None
-        self.planner = executor.planner
-        self.model = executor.model
-        self.noise_rng = None
-        self.measurement_noise = 0.0
-        self.swap = SwapEngine()
-
-    def unit_times(self, profile):
-        return self._real.unit_times(profile)
-
-    def _optimizer_time(self) -> float:
-        return self._real._optimizer_time()
-
-
+@dataclass(slots=True, eq=False)
 class CompiledTemplate:
     """One certified world class: symbolic programs + starting free list.
 
     Everything structural (alloc/free program, charge program,
     measurement spec, per-request size sources) was verified against the
-    certification shadow run before the template was accepted;
+    recorded certification pass before the template was accepted;
     :meth:`evaluate` re-derives only what depends on the input size.
     """
 
-    __slots__ = (
-        "align", "coalescing", "req_sources", "ops", "start_free",
-        "unit_names", "record_struct", "promoted", "upkeep_rate",
-        "charge_prog", "measure_spec", "start_in_use", "const_stats",
-        "_size_ctx",
-    )
+    #: per alloc op: its size source (input / record / boundary)
+    req_sources: tuple
+    #: the event program, flat-encoded: request index ``k`` for an
+    #: allocation, ``-k - 1`` for the free of request ``k``
+    ops: tuple
+    #: the world class's starting free list (never mutated)
+    start_free: FreeList
+    unit_names: tuple
+    record_struct: tuple
+    promoted: tuple
+    upkeep_rate: float
+    charge_prog: tuple
+    #: per measured unit: (unit_idx, req indices of saved records)
+    measure_spec: tuple
+    start_in_use: int
+    const_stats: IterationStats
+    #: (shape, dtype) -> (request sizes, unit times), fingerprint-checked
+    _size_ctx: dict = field(default_factory=dict, init=False)
 
     #: per-shape context entries kept per template (each is tiny: a request
     #: vector and the unit times); cleared wholesale when full
-    MAX_SIZE_CTX = 1024
-
-    def __init__(
-        self, *, align, coalescing, req_sources, ops, start_free,
-        unit_names, record_struct, promoted, upkeep_rate, charge_prog,
-        measure_spec, start_in_use, const_stats,
-    ) -> None:
-        self.align = align
-        self.coalescing = coalescing
-        #: per alloc op: its size source (input / record / boundary)
-        self.req_sources = req_sources
-        #: the event program, flat-encoded: request index ``k`` for an
-        #: allocation, ``-k - 1`` for the free of request ``k``
-        self.ops = ops
-        #: starting free list as (addr_key, size), address-ordered
-        self.start_free = start_free
-        self.unit_names = unit_names
-        self.record_struct = record_struct
-        self.promoted = promoted
-        self.upkeep_rate = upkeep_rate
-        self.charge_prog = charge_prog
-        #: per measured unit: (unit_idx, req indices of saved records)
-        self.measure_spec = measure_spec
-        self.start_in_use = start_in_use
-        self.const_stats = const_stats
-        #: (shape, dtype) -> (request sizes, unit times), fingerprint-checked
-        self._size_ctx: dict = {}
+    MAX_SIZE_CTX: ClassVar[int] = 1024
 
     # ------------------------------------------------------------- evaluate
 
@@ -254,15 +169,10 @@ class CompiledTemplate:
             promoted = bool(acts) and acts[-1].spec == prof.output
             if promoted != self.promoted[ui]:
                 return False
-        return (
-            executor.planner.upkeep_time_per_tensor == self.upkeep_rate
-            and executor.allocator.alignment == self.align
-            and executor.allocator.coalescing == self.coalescing
-        )
+        return executor.planner.upkeep_time_per_tensor == self.upkeep_rate
 
     def _request_sizes(self, batch, profiles) -> list[int]:
-        """Aligned request bytes per alloc op, from the profile sources."""
-        align = self.align
+        """Allocator request bytes per alloc op, from the profile sources."""
         sizes = []
         for src in self.req_sources:
             kind = src[0]
@@ -272,86 +182,39 @@ class CompiledTemplate:
                 nb = profiles[src[1]].output.nbytes
             else:
                 nb = batch.spec.nbytes
-            if nb < 1:
-                nb = 1
-            sizes.append(-(-nb // align) * align)
+            sizes.append(request_size(nb))
         return sizes
 
-    def _interpret(self, rsizes: list[int]):
-        """Run the alloc/free program against the starting free list.
+    def _place(self, rsizes: list[int]):
+        """Run the alloc/free program on a copy of the starting free list.
 
-        Replays the allocator's own decision rules — address-ordered
-        best fit, split-vs-absorb, segment-local coalescing — on bare
-        integers.  Returns ``(block_sizes, peak_overshoot)`` or None
-        when a request does not fit (the real allocator would reserve a
-        segment: not this template's world) or the free list does not
-        round-trip (not steady state at this size).
+        Returns ``(block_sizes, peak_overshoot)``, or None when a request
+        does not fit (the real allocator would reserve a segment: not
+        this template's world) or the free list does not round-trip (not
+        steady state at this size).
         """
-        by_size: list[tuple[int, int]] = sorted(
-            (size, addr) for addr, size in self.start_free
-        )
-        by_addr: dict[int, int] = dict(self.start_free)
-        # addr one past each slot's end -> slot addr (backward coalesce)
-        end_at: dict[int, int] = {
-            addr + size: addr for addr, size in self.start_free
-        }
-        coalescing = self.coalescing
-        nfree = len(by_addr)
+        free = self.start_free.copy()
+        take, give = free.take, free.give  # hoisted: this loop is the hot path
         b: list[int] = [0] * len(self.req_sources)
         where: list[int] = [0] * len(self.req_sources)
         cur = 0
         peak = 0
-        bl, ins = bisect_left, insort  # hoisted: this loop is the hot path
         for k in self.ops:
             if k >= 0:  # allocate request k
-                r = rsizes[k]
-                i = bl(by_size, (r,))
-                if i == len(by_size):
-                    return None  # would reserve a fresh segment
-                size, addr = by_size[i]
-                del by_size[i]
-                del by_addr[addr]
-                del end_at[addr + size]
-                if size - r >= MIN_SPLIT_REMAINDER:
-                    bk = r
-                    tail = addr + r
-                    ins(by_size, (size - r, tail))
-                    by_addr[tail] = size - r
-                    end_at[addr + size] = tail
-                else:  # absorb: the block keeps the whole slot
-                    bk = size
-                b[k] = bk
-                where[k] = addr
-                cur += bk
+                placed = take(rsizes[k])
+                if placed is None:
+                    return None
+                where[k], size = placed
+                b[k] = size
+                cur += size
                 if cur > peak:
                     peak = cur
             else:  # free the block of request ~k
                 k = -k - 1
-                addr = where[k]
-                size = b[k]
-                cur -= size
-                if coalescing:
-                    prev = end_at.get(addr)
-                    if prev is not None:
-                        psize = by_addr.pop(prev)
-                        del end_at[addr]
-                        del by_size[bl(by_size, (psize, prev))]
-                        addr = prev
-                        size += psize
-                    nsize = by_addr.pop(addr + size, None)
-                    if nsize is not None:
-                        nxt = addr + size
-                        del end_at[nxt + nsize]
-                        del by_size[bl(by_size, (nsize, nxt))]
-                        size += nsize
-                ins(by_size, (size, addr))
-                by_addr[addr] = size
-                end_at[addr + size] = addr
-        if len(by_addr) != nfree:
+                cur -= b[k]
+                give(where[k], b[k])
+        if free != self.start_free:
             return None
-        for addr, size in self.start_free:
-            if by_addr.get(addr) != size:
-                return None  # not steady state at this size
         return b, peak
 
     def evaluate(
@@ -386,7 +249,7 @@ class CompiledTemplate:
                 self._size_ctx.clear()
             self._size_ctx[(batch.shape, batch.dtype)] = ctx
         rsizes, ut, nacts = ctx
-        run = self._interpret(rsizes)
+        run = self._place(rsizes)
         if run is None:
             return None
         b, peak_overshoot = run
@@ -447,78 +310,6 @@ class CompiledTemplate:
 # ---------------------------------------------------------------------------
 
 
-def _shadow_run(
-    executor: "TrainingExecutor",
-    batch: "BatchInput",
-    decision: "PlanDecision",
-    replay_key: ReplayKey,
-    record: ReplayRecord,
-    profiles,
-):
-    """Re-execute the recorded iteration against a tapped allocator clone.
-
-    Returns ``(tap, start_free, start_in_use, charges, measurements,
-    profiles, sim_time)`` after verifying the shadow reproduced the
-    record bit for bit and round-tripped the signature.
-    """
-    clone = executor.allocator.clone()
-    seg_sorted = sorted(clone._segments, key=lambda s: s.base)
-    seg_index = {s.base: i for i, s in enumerate(seg_sorted)}
-
-    def addr_key(block) -> int:
-        base = block.segment.base
-        return (seg_index[base] << _SEG_SHIFT) + (block.addr - base)
-
-    start_free = tuple(sorted(
-        (addr_key(b), b.size) for b in clone._free_blocks.values()
-    ))
-    start_in_use = clone.stats.bytes_in_use
-
-    tap = _TapAllocator(clone)
-    shadow = _ShadowExecutor(executor, tap)
-    builder = StatsBuilder().attach(shadow.events)
-    charges: list[tuple[str, float]] = []
-    measurements: list[UnitMeasurement] = []
-    shadow.events.subscribe(
-        lambda e: charges.append((e.component, e.seconds)), TimeCharged
-    )
-    shadow.events.subscribe(
-        lambda e: measurements.append(e.measurement), MeasurementTaken
-    )
-
-    strategy = strategy_for(decision)
-    clone.reset_peaks()
-    builder.begin(0.0)
-    shadow.swap.reset(shadow.clock.now)
-    ctx = IterationContext(
-        executor=shadow,
-        decision=decision,
-        batch=batch,
-        iteration=record.stats.iteration,
-        strategy=strategy,
-        swap=shadow.swap,
-        profiles=profiles,
-    )
-    strategy.begin(ctx)
-    try:
-        ctx.input_tensor = SimTensor(batch.spec, "input")
-        ctx.alloc_tensor(ctx.input_tensor)
-        strategy.run_forward(ctx)
-        strategy.run_backward(ctx)
-        ctx.input_tensor.drop(tap)
-        ctx.input_tensor = None
-        ctx.charge("optimizer", shadow._optimizer_time())
-    except OutOfMemoryError:
-        raise _Reject("shadow execution ran out of memory")
-    shadow_stats = builder.finalize(ctx, False)
-    if shadow_stats != record.stats:
-        raise _Reject("shadow run diverged from the recorded iteration")
-    if clone.state_signature() != replay_key.signature:
-        raise _Reject("shadow run did not round-trip the allocator")
-    return (tap, start_free, start_in_use, charges, measurements,
-            shadow.clock.now)
-
-
 def _certify(
     executor: "TrainingExecutor",
     batch: "BatchInput",
@@ -526,10 +317,14 @@ def _certify(
     replay_key: ReplayKey,
     record: ReplayRecord,
     profiles,
+    ops: Sequence[tuple],
+    charges: Sequence[TimeCharged],
 ) -> CompiledTemplate:
-    """Build and self-test a template for one recorded steady-state world.
+    """Build and self-test a template from one recorded steady-state pass.
 
-    Raises :class:`_Reject` when the world cannot be proven size-generic.
+    ``ops`` is the allocator's op log and ``charges`` the ``TimeCharged``
+    stream of the full simulation that produced ``record``.  Raises
+    :class:`_Reject` when the world cannot be proven size-generic.
     """
     model = executor.model
     upkeep_rate = executor.planner.upkeep_time_per_tensor
@@ -539,11 +334,6 @@ def _certify(
     if prog is None:
         raise _Reject("mode/plan has no symbolic charge program")
 
-    (tap, start_free, start_in_use, charges, measurements, sim_time) = (
-        _shadow_run(executor, batch, decision, replay_key, record, profiles)
-    )
-
-    align = executor.allocator.alignment
     units = model.units
     if len(profiles) != len(units):
         raise _Reject("profile/unit count mismatch")
@@ -566,12 +356,12 @@ def _certify(
             raise _Reject(f"ambiguous tensor name {bname!r}")
         sources[bname] = (_SRC_BOUNDARY, ui)
 
-    # ---- verify the charge program against the shadow trace
+    # ---- verify the charge program against the recorded charge stream
     ut = [executor.unit_times(p) for p in profiles]
     if len(prog) != len(charges):
         raise _Reject("charge program length diverged")
-    for (name, idx), (cname, cval) in zip(prog, charges):
-        if name != cname:
+    for (name, idx), charge in zip(prog, charges):
+        if name != charge.component:
             raise _Reject("charge program order diverged")
         if name == "bwd":
             v = ut[idx][1]
@@ -581,37 +371,37 @@ def _certify(
             v = executor._optimizer_time()
         else:
             v = ut[idx][0]
-        if v != cval:
+        if v != charge.seconds:
             raise _Reject("charge value is not a pure function of the plan")
 
-    # ---- lift the tap trace into the symbolic alloc/free program
+    # ---- lift the op log into the symbolic alloc/free program
     req_sources: list[tuple] = []
     req_sizes0: list[int] = []
-    ops: list[int] = []
+    prog_ops: list[int] = []
     b0: list[int] = []
     live: dict[int, int] = {}  # block addr -> req idx, this iteration only
-    for op in tap.ops:
-        if op[0] == "m":
-            _tag, owner, nbytes, addr, size, segchg = op
-            if segchg:
+    for op in ops:
+        if len(op) == 5:  # malloc
+            owner, nbytes, addr, size, reserved_a_segment = op
+            if reserved_a_segment:
                 raise _Reject("segment reserve/release inside the iteration")
             src = sources.get(owner)
             if src is None:
                 raise _Reject(f"allocation by unknown owner {owner!r}")
             k = len(req_sources)
             req_sources.append(src)
-            req_sizes0.append(_align_up(max(nbytes, 1), align))
-            ops.append(k)
+            req_sizes0.append(request_size(nbytes))
+            prog_ops.append(k)
             b0.append(size)
             live[addr] = k
-        else:
-            _tag, addr, size = op
+        else:  # free
+            addr, size = op
             k = live.pop(addr, None)
             if k is None:
                 raise _Reject("free of a block from before the iteration")
             if size != b0[k]:
                 raise _Reject("freed size diverged")
-            ops.append(-k - 1)
+            prog_ops.append(-k - 1)
     if live:
         raise _Reject("iteration-allocated block outlived the iteration")
 
@@ -626,10 +416,11 @@ def _certify(
                     raise _Reject("activation records allocated out of order")
                 lst.append(kk)
     measure_units = [idx for name, idx in prog if name == "collect"]
+    measurements = record.stats.measurements
     if len(measure_units) != len(measurements):
         raise _Reject("measurement count diverged")
     measure_spec = []
-    for j, ui in enumerate(measure_units):
+    for meas, ui in zip(measurements, measure_units):
         acts = profiles[ui].activations
         lst = first_rec_ops.get(ui, [])
         if len(lst) != len(acts):
@@ -639,34 +430,32 @@ def _certify(
             lst[ri] for ri in range(keep) if acts[ri].saved
         )
         saved0 = sum(b0[kk] for kk in req_idx)
-        meas = measurements[j]
         if meas.unit_name != unit_names[ui] or meas.saved_bytes != saved0:
             raise _Reject("measurement is not a sum of saved allocations")
         measure_spec.append((ui, req_idx))
 
+    signature = replay_key.signature
     template = CompiledTemplate(
-        align=align,
-        coalescing=executor.allocator.coalescing,
         req_sources=tuple(req_sources),
-        ops=tuple(ops),
-        start_free=start_free,
+        ops=tuple(prog_ops),
+        start_free=FreeList.from_signature(signature),
         unit_names=unit_names,
         record_struct=tuple(record_struct),
         promoted=tuple(promoted),
         upkeep_rate=upkeep_rate,
         charge_prog=prog,
         measure_spec=tuple(measure_spec),
-        start_in_use=start_in_use,
+        start_in_use=signature[0],
         const_stats=record.stats,
     )
 
-    # ---- self-test: the interpreter must reproduce the certification
-    # iteration bit for bit before the template is ever trusted elsewhere
+    # ---- self-test: the template must reproduce the certification
+    # iteration bit for bit before it is ever trusted elsewhere
     if template._request_sizes(batch, profiles) != req_sizes0:
         raise _Reject("size sources mis-derive the certification requests")
-    run = template._interpret(req_sizes0)
+    run = template._place(req_sizes0)
     if run is None or run[0] != b0:
-        raise _Reject("interpreter diverges on the certification trace")
+        raise _Reject("placement diverges on the certification trace")
     result = template.evaluate(
         executor, batch, decision, record.stats.iteration, profiles
     )
@@ -675,6 +464,11 @@ def _certify(
     stats, t = result
     if replace(stats, planning_time=0.0) != record.stats:
         raise _Reject("template mis-evaluates its certification input")
+    # Summed from 0.0 like the template's fold: ``record.sim_time`` is a
+    # difference of two absolute clock readings and rounds differently.
+    sim_time = 0.0
+    for charge in charges:
+        sim_time += charge.seconds
     if t != sim_time:
         raise _Reject("template mis-times its certification input")
     return template
@@ -782,6 +576,16 @@ class CompiledCache:
         self.misses += 1
         return None
 
+    def wants_trace(self, replay_key: Optional[ReplayKey]) -> bool:
+        """Whether a full simulation of this world is a certification
+        candidate: eligible, no timeline recording, and a world class not
+        yet templated or rejected.  The executor arms its op and charge
+        logs for exactly these iterations."""
+        if replay_key is None or replay_key.timeline_active:
+            return False
+        key = CompiledKey.of(replay_key)
+        return key not in self._templates and key not in self._rejected
+
     def maybe_certify(
         self,
         executor: "TrainingExecutor",
@@ -789,17 +593,21 @@ class CompiledCache:
         decision: "PlanDecision",
         replay_key: ReplayKey,
         record: ReplayRecord,
+        ops: Optional[Sequence[tuple]],
+        charges: Optional[Sequence[TimeCharged]],
     ) -> None:
-        """Certify this just-recorded steady-state world class, once."""
-        if replay_key.timeline_active:
+        """Certify this just-recorded steady-state world class, once.
+
+        ``ops``/``charges`` are the pass's op log and ``TimeCharged``
+        stream, None when it was not a candidate (:meth:`wants_trace`).
+        """
+        if ops is None or charges is None:
             return
         key = CompiledKey.of(replay_key)
-        if key in self._templates or key in self._rejected:
-            return
         try:
             template = _certify(
                 executor, batch, decision, replay_key, record,
-                self._profiles(executor, batch),
+                self._profiles(executor, batch), ops, charges,
             )
         except _Reject:
             self._rejected.add(key)

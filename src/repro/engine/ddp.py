@@ -106,7 +106,6 @@ class DataParallelExecutor:
                     planner,
                     device=device,
                     capacity_bytes=capacity_bytes,
-                    coalescing=planner.allocator_coalescing,
                 )
             )
         self._grad_bytes = self.executors[0].model.static_memory().grad_bytes

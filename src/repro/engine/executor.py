@@ -70,8 +70,6 @@ class TrainingExecutor:
             it to their budget; reactive planners and the baseline use
             physical device memory with the budget enforced logically
             (how DTR's fragmentation overshoot becomes observable, Fig 5).
-        coalescing: allocator coalescing; disable to model the CUDA
-            caching allocator's fragmentation under churn (DTR).
         timeline: optional memory timeline recorder (an event-bus
             subscriber, :class:`~repro.engine.events.TimelineObserver`).
         raise_on_oom: raise :class:`IterationOOM` instead of returning a
@@ -99,7 +97,6 @@ class TrainingExecutor:
         *,
         device: Optional[DeviceModel] = None,
         capacity_bytes: Optional[int] = None,
-        coalescing: bool = True,
         timeline: Optional[MemoryTimeline] = None,
         raise_on_oom: bool = False,
         measurement_noise: float = 0.0,
@@ -113,7 +110,7 @@ class TrainingExecutor:
         self.planner = planner
         self.device = device or DeviceModel()
         capacity = capacity_bytes or self.device.memory_capacity
-        self.allocator = CachingAllocator(capacity, coalescing=coalescing)
+        self.allocator = CachingAllocator(capacity)
         self.clock = SimClock()
         self.timeline = timeline
         self.raise_on_oom = raise_on_oom
@@ -266,7 +263,8 @@ class TrainingExecutor:
         already simulated is served without touching the allocator; on a
         miss, a certified compiled template for the same world *class*
         (any batch size) is evaluated symbolically; otherwise simulate in
-        full and — if the allocator round-trips — record (and certify).
+        full and — if the allocator round-trips — record, and certify a
+        template from the recorded pass.
         """
         self._iteration += 1
         iteration = self._iteration
@@ -442,6 +440,11 @@ class TrainingExecutor:
         strategy.begin(ctx)  # plan validation errors propagate, not OOM
         fault_block: Optional[Block] = None
         oom = False
+        if self.compiled is not None and self.compiled.wants_trace(replay_key):
+            # A certification candidate logs its own malloc/free trace and
+            # charge stream: the compiled tier certifies from this pass.
+            alloc.op_log = []
+            self._stats.charges = []
         try:
             if self.faults is not None:
                 phantom = self.faults.phantom_bytes()
@@ -460,6 +463,9 @@ class TrainingExecutor:
             ctx.unwind()
             oom = True
             self.events.emit(OomHit(iteration, self.clock.now))
+        finally:
+            ops, charges = alloc.op_log, self._stats.charges
+            alloc.op_log = self._stats.charges = None
         if fault_block is not None:
             alloc.free(fault_block)
         points = self._replay_points.disarm() if record_points else ()
@@ -491,7 +497,7 @@ class TrainingExecutor:
             if self.compiled is not None:
                 # one-off certification attempt for this world class
                 self.compiled.maybe_certify(
-                    self, batch, decision, replay_key, record
+                    self, batch, decision, replay_key, record, ops, charges
                 )
         return stats
 

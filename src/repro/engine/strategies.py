@@ -401,10 +401,11 @@ class ExecutionStrategy:
         plan alone — the charge *values* are left symbolic (the unit's
         forward/backward time, the upkeep rate x record count).  The
         compiled tier (:mod:`repro.engine.compiled`) evaluates this program
-        at new input sizes and verifies it charge-for-charge against a
-        shadow execution before trusting it.  ``None`` means iterations of
-        this mode cannot be described this way (history-dependent modes,
-        or plans whose timing depends on the copy-engine timeline).
+        at new input sizes and verifies it charge-for-charge against the
+        recorded charge stream of a full simulation before trusting it.
+        ``None`` means iterations of this mode cannot be described this way
+        (history-dependent modes, or plans whose timing depends on the
+        copy-engine timeline).
         """
         return None
 
@@ -882,6 +883,10 @@ class StatsBuilder:
     bit-identical.  Eviction-search time is kept in its own accumulator
     and folded into the planning component once, at :meth:`finalize`
     (the planner's search *is* planning work, Table III).
+
+    While :attr:`charges` is a list, every ``TimeCharged`` event is also
+    appended to it — the charge stream the compiled tier certifies
+    templates from; the executor arms and disarms it per iteration.
     """
 
     _COMPONENTS = (
@@ -898,6 +903,7 @@ class StatsBuilder:
         self._num_checkpointed = 0
         self._evictions = 0
         self._num_swapped = 0
+        self.charges: Optional[list[TimeCharged]] = None
 
     def attach(self, bus) -> "StatsBuilder":
         bus.subscribe(
@@ -924,6 +930,8 @@ class StatsBuilder:
                 self._eviction_search += event.seconds
             else:
                 self._comp[event.component] += event.seconds
+            if self.charges is not None:
+                self.charges.append(event)
         elif t is UnitForward:
             if event.checkpointed:
                 self._num_checkpointed += 1

@@ -231,7 +231,6 @@ def run_task(
         planner,
         device=device,
         capacity_bytes=capacity,
-        coalescing=planner.allocator_coalescing,
         timeline=timeline,
         faults=FaultInjector(faults) if faults is not None else None,
         max_recovery_retries=max_retries,

@@ -373,9 +373,6 @@ class Planner:
     #: the budget logically (baseline, DTR) or that can overshoot it on
     #: inputs larger than their static assumption (Checkmate, MONeT).
     requires_physical_capacity: bool = False
-    #: Allocator coalescing; False models CUDA-caching-allocator
-    #: fragmentation under eviction churn (DTR).
-    allocator_coalescing: bool = True
     #: One-off offline solve time in seconds (reported, never charged to
     #: iterations) — hours for the MILP planners, ~0 otherwise.
     solve_time_s: float = 0.0

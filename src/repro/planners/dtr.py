@@ -16,11 +16,12 @@ in Fig 5:
 * *planning* — scanning the evictable pool on every OOM event (up to
   11.9 %), modelled as ``search_time_per_item * pool size`` per event.
 
-DTR also churns the allocator (evict/rematerialise cycles with varying
-sizes), which under a non-coalescing caching allocator produces the
-fragmentation that makes its *actual* memory exceed the logical budget
-(6.7 GB used for a 4.2 GB budget in Fig 5); the runner therefore executes
-DTR with ``allocator_coalescing = False`` and physical capacity.
+DTR also churns the allocator: evict/rematerialise cycles with varying
+sizes strand free space across many partly-used segments of the caching
+allocator, which coalesces only within a segment.  That fragmentation
+makes DTR's *actual* memory exceed its logical budget (6.7 GB used for a
+4.2 GB budget in Fig 5), so the runner executes DTR with physical
+capacity and the budget enforced logically.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class DTRPlanner(Planner):
         search_algorithm="greedy",
     )
     requires_physical_capacity = True
-    # Within-segment coalescing stays on (the CUDA allocator has it); the
-    # fragmentation DTR suffers comes from eviction churn stranding free
-    # space across segments, which the segmented allocator reproduces.
-    allocator_coalescing = True
 
     def __init__(
         self,

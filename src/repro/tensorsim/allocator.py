@@ -19,21 +19,33 @@ This models the CUDA caching allocator's actual structure:
 * when no cached block fits and the remaining capacity cannot hold a new
   segment, allocation raises :class:`OutOfMemoryError` — the signal DTR's
   eviction loop reacts to.
+
+The placement policy — best fit, split-versus-absorb, neighbour
+coalescing — is one type, :class:`FreeList`, over plain integer
+addresses.  Segment ``k`` is based at ``k << SEGMENT_SHIFT``, so segments
+never touch and coalescing by address adjacency is segment-local by
+construction.  :class:`CachingAllocator` adds segment reservation and
+accounting on top; the compiled tier (:mod:`repro.engine.compiled`)
+drives the same :class:`FreeList` from a canonical starting state.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
-DEFAULT_ALIGNMENT = 512  # bytes, the CUDA caching allocator quantum
+ALIGNMENT = 512  # bytes, the CUDA caching allocator quantum
 MIN_SPLIT_REMAINDER = 512
 SMALL_REQUEST = 1 << 20  # <1 MiB requests pool into small segments
 SMALL_SEGMENT = 2 << 20  # 2 MiB
 MEDIUM_REQUEST = 10 << 20  # <10 MiB requests pool into medium segments
 MEDIUM_SEGMENT = 20 << 20  # 20 MiB
 LARGE_ROUND = 2 << 20  # dedicated segments round up to 2 MiB
+#: Segment ``k`` is based at ``k << SEGMENT_SHIFT``.  No segment approaches
+#: 2**48 bytes, so offsets never carry into the segment bits.
+SEGMENT_SHIFT = 48
+_OFFSET_MASK = (1 << SEGMENT_SHIFT) - 1
 
 
 class AllocationError(RuntimeError):
@@ -64,141 +76,205 @@ class Segment:
 
     base: int
     size: int
-    head: Optional["Block"] = None
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
 
 
 @dataclass(slots=True)
 class Block:
-    """A contiguous region within a segment."""
+    """A live allocation: ``size`` bytes at ``addr`` within ``segment``.
+
+    ``free`` turns True when the block is handed back, which is how a
+    double free is caught; the free bytes themselves live in the
+    allocator's :class:`FreeList`.
+    """
 
     addr: int
     size: int
     segment: Segment
-    free: bool = True
-    owner: str = ""
-    prev: Optional["Block"] = field(default=None, repr=False)
-    next: Optional["Block"] = field(default=None, repr=False)
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.size
+    free: bool = False
 
 
 def _align_up(n: int, quantum: int) -> int:
     return (n + quantum - 1) // quantum * quantum
 
 
-class _FreeIndex:
-    """Size-bucketed, address-ordered index of free blocks.
+def request_size(nbytes: int) -> int:
+    """Bytes a request for ``nbytes`` occupies: at least one byte, rounded
+    up to :data:`ALIGNMENT`."""
+    return _align_up(max(nbytes, 1), ALIGNMENT)
 
-    Free blocks are bucketed by size class (``size.bit_length()``, so class
+
+class FreeList:
+    """Address-ordered best-fit free list over integer addresses.
+
+    Holds free blocks as ``(addr, size)``.  :meth:`take` serves a request
+    from the smallest block that fits, ties broken toward the lowest
+    address, and splits off the tail only when at least
+    ``MIN_SPLIT_REMAINDER`` bytes would remain — otherwise the request
+    absorbs the whole block.  :meth:`give` returns a block, merging it
+    with the free blocks that end where it starts and start where it
+    ends.  The chosen block depends only on the *set* of free blocks,
+    never on insertion history, which is what lets two iterations with
+    equal free lists behave identically (the replay cache's steady-state
+    proof).
+
+    Blocks are bucketed by size class (``size.bit_length()``, so class
     ``c`` holds sizes in the disjoint range ``[2^(c-1), 2^c)``) and each
-    bucket is kept sorted by ``(size, addr)``.  Best fit is then a bisect in
-    the request's own class followed by the head of the next non-empty class
-    — the same block a linear best-fit scan with address tie-break would
-    choose, because the class ranges are disjoint and ascending.  This keeps
-    allocation :math:`O(\\log n)` under tens of thousands of live blocks
-    while staying bit-identical to the linear scan (``state_signature`` and
-    the chosen-block sequence are unchanged).
-
-    Invariant: a block's size never changes while it is indexed — callers
-    remove before mutating (carve) or merge first and insert once
-    (coalesce).
+    bucket is kept sorted by ``(size, addr)``.  Best fit is then a bisect
+    in the request's own class followed by the head of the next non-empty
+    class — the block a linear best-fit scan would choose, because the
+    class ranges are disjoint and ascending — in :math:`O(\\log n)` under
+    tens of thousands of free blocks.
     """
 
-    __slots__ = ("_by_addr", "_buckets", "_classes")
+    __slots__ = ("_by_addr", "_end_at", "_buckets", "_classes")
 
-    def __init__(self) -> None:
-        self._by_addr: dict[int, Block] = {}
-        #: size class -> list of (size, addr, block) sorted ascending
-        self._buckets: dict[int, list[tuple[int, int, Block]]] = {}
+    def __init__(self, blocks: Iterable[tuple[int, int]] = ()) -> None:
+        self._by_addr: dict[int, int] = {}  # addr -> size
+        self._end_at: dict[int, int] = {}  # addr + size -> addr
+        #: size class -> [(size, addr), ...] sorted ascending
+        self._buckets: dict[int, list[tuple[int, int]]] = {}
         self._classes: list[int] = []  # sorted non-empty bucket keys
+        for addr, size in blocks:
+            self._insert(addr, size)
 
-    def __len__(self) -> int:
-        return len(self._by_addr)
+    @classmethod
+    def from_signature(cls, signature: tuple) -> "FreeList":
+        """The free list of an allocator whose
+        :meth:`CachingAllocator.state_signature` is ``signature``, with
+        each segment renumbered to its rank in base order."""
+        return cls(
+            ((seg << SEGMENT_SHIFT) + offset, size)
+            for seg, offset, size in signature[3]
+        )
 
-    def __contains__(self, addr: int) -> bool:
-        return addr in self._by_addr
+    def copy(self) -> "FreeList":
+        new = FreeList.__new__(FreeList)
+        new._by_addr = self._by_addr.copy()
+        new._end_at = self._end_at.copy()
+        new._buckets = {k: b.copy() for k, b in self._buckets.items()}
+        new._classes = self._classes.copy()
+        return new
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._by_addr)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FreeList):
+            return NotImplemented
+        return self._by_addr == other._by_addr
 
-    def values(self):
-        return self._by_addr.values()
+    __hash__ = None  # type: ignore[assignment]  # mutable
 
-    def add(self, block: Block) -> None:
-        self._by_addr[block.addr] = block
-        cls = block.size.bit_length()
-        bucket = self._buckets.get(cls)
-        if bucket is None:
-            bucket = self._buckets[cls] = []
-            insort(self._classes, cls)
-        # (size, addr) is unique per block, so the trailing Block is never
-        # compared by insort.
-        insort(bucket, (block.size, block.addr, block))
+    def items(self):
+        """``(addr, size)`` of every free block, in no particular order."""
+        return self._by_addr.items()
 
-    def remove(self, block: Block) -> None:
-        del self._by_addr[block.addr]
-        cls = block.size.bit_length()
-        bucket = self._buckets[cls]
-        i = bisect_left(bucket, (block.size, block.addr))
-        entry = bucket[i]
-        assert entry[1] == block.addr, "free index out of sync with block"
-        del bucket[i]
-        if not bucket:
-            del self._buckets[cls]
-            self._classes.remove(cls)
+    def get(self, addr: int) -> Optional[int]:
+        """Size of the free block starting at ``addr``, or None."""
+        return self._by_addr.get(addr)
 
     def max_size(self) -> int:
-        """Largest indexed free-block size, O(1) (0 when empty).
-
-        The class list is sorted and every bucket sorted by (size, addr),
-        so the last entry of the last class is the global maximum — the
-        value ``largest_free_block``/``fragmentation_bytes`` previously
-        recomputed with a full linear scan per call.
-        """
+        """Largest free-block size, O(1) (0 when empty): the last entry of
+        the highest class."""
         if not self._classes:
             return 0
         return self._buckets[self._classes[-1]][-1][0]
 
-    def best_fit(self, size: int) -> Optional[Block]:
-        """Smallest free block >= size; ties break toward the lowest addr."""
+    # --------------------------------------------------------------- policy
+
+    def take(self, size: int) -> Optional[tuple[int, int]]:
+        """Carve ``size`` bytes by best fit: ``(addr, block size)``, or
+        None when no free block is large enough."""
         classes = self._classes
         k = size.bit_length()
         i = bisect_left(classes, k)
-        if i < len(classes) and classes[i] == k:
-            # The request's own class may hold both too-small and qualifying
-            # blocks; bisect to the first (size, addr) >= (size,).
-            bucket = self._buckets[k]
+        if i == len(classes):
+            return None
+        bucket = self._buckets[classes[i]]
+        j = 0
+        if classes[i] == k:
+            # The request's own class may hold both too-small and
+            # qualifying blocks; every block of a higher class qualifies.
             j = bisect_left(bucket, (size,))
-            if j < len(bucket):
-                return bucket[j][2]
-            i += 1
-        if i < len(classes):
-            # Every block in a higher class qualifies and is larger than any
-            # class-k block, so its (size, addr) minimum is the global best.
-            return self._buckets[classes[i]][0][2]
-        return None
+            if j == len(bucket):
+                i += 1
+                if i == len(classes):
+                    return None
+                bucket = self._buckets[classes[i]]
+                j = 0
+        found, addr = bucket.pop(j)
+        if not bucket:
+            del self._buckets[classes[i]]
+            del classes[i]
+        del self._by_addr[addr]
+        del self._end_at[addr + found]
+        if found - size < MIN_SPLIT_REMAINDER:
+            return addr, found
+        self._insert(addr + size, found - size)
+        return addr, size
+
+    def give(self, addr: int, size: int) -> None:
+        """Return ``[addr, addr + size)``, coalescing with free neighbours."""
+        by_addr = self._by_addr
+        end_at = self._end_at
+        prev = end_at.pop(addr, None)
+        if prev is not None:
+            psize = by_addr.pop(prev)
+            self._unbucket(psize, prev)
+            addr = prev
+            size += psize
+        end = addr + size
+        nsize = by_addr.pop(end, None)
+        if nsize is not None:
+            del end_at[end + nsize]
+            self._unbucket(nsize, end)
+            size += nsize
+        self._insert(addr, size)
+
+    def remove(self, addr: int) -> None:
+        """Withdraw the free block starting at ``addr`` (segment release)."""
+        size = self._by_addr.pop(addr)
+        del self._end_at[addr + size]
+        self._unbucket(size, addr)
+
+    # ------------------------------------------------------------ internals
+
+    def _insert(self, addr: int, size: int) -> None:
+        self._by_addr[addr] = size
+        self._end_at[addr + size] = addr
+        k = size.bit_length()
+        bucket = self._buckets.get(k)
+        if bucket is None:
+            self._buckets[k] = [(size, addr)]
+            insort(self._classes, k)
+        else:
+            insort(bucket, (size, addr))
+
+    def _unbucket(self, size: int, addr: int) -> None:
+        k = size.bit_length()
+        bucket = self._buckets[k]
+        del bucket[bisect_left(bucket, (size, addr))]
+        if not bucket:
+            del self._buckets[k]
+            self._classes.remove(k)
 
     def check_consistency(self) -> None:
         indexed = 0
-        for cls, bucket in self._buckets.items():
+        for k, bucket in self._buckets.items():
             assert bucket, "empty bucket retained"
-            assert cls in self._classes, "bucket missing from class list"
             assert bucket == sorted(bucket), "bucket must stay sorted"
-            for size, addr, block in bucket:
-                assert block.size == size, "block mutated while indexed"
-                assert block.addr == addr, "block moved while indexed"
-                assert size.bit_length() == cls, "block in wrong size class"
-                assert self._by_addr.get(addr) is block
+            for size, addr in bucket:
+                assert size > 0, "free blocks must be non-empty"
+                assert size.bit_length() == k, "block in wrong size class"
+                assert self._by_addr.get(addr) == size, "bucket/addr views disagree"
                 indexed += 1
         assert indexed == len(self._by_addr), "bucket/addr views disagree"
         assert self._classes == sorted(self._buckets), "class list stale"
-        linear_max = max((b.size for b in self._by_addr.values()), default=0)
+        assert self._end_at == {
+            a + s: a for a, s in self._by_addr.items()
+        }, "end index stale"
+        spans = sorted(self._by_addr.items())
+        assert all(a + s < b for (a, s), (b, _) in zip(spans, spans[1:])), (
+            "free blocks must neither overlap nor touch (coalesced)"
+        )
+        linear_max = max(self._by_addr.values(), default=0)
         assert self.max_size() == linear_max, "max_size diverged from scan"
 
 
@@ -213,23 +289,6 @@ class AllocatorStats:
     num_allocs: int = 0
     num_frees: int = 0
     num_oom: int = 0
-    num_splits: int = 0
-    num_coalesces: int = 0
-    num_segments: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "bytes_in_use": self.bytes_in_use,
-            "bytes_reserved": self.bytes_reserved,
-            "peak_in_use": self.peak_in_use,
-            "peak_reserved": self.peak_reserved,
-            "num_allocs": self.num_allocs,
-            "num_frees": self.num_frees,
-            "num_oom": self.num_oom,
-            "num_splits": self.num_splits,
-            "num_coalesces": self.num_coalesces,
-            "num_segments": self.num_segments,
-        }
 
 
 class CachingAllocator:
@@ -237,36 +296,25 @@ class CachingAllocator:
 
     Args:
         capacity: total device memory (bytes) this allocator may reserve.
-        alignment: allocation quantum; requests are rounded up to it.
-        coalescing: merge adjacent free blocks within a segment on free.
-            True matches the CUDA caching allocator; False is a stress
-            knob for fragmentation experiments.
-        oom_callback: invoked with the failing request size just before an
-            :class:`OutOfMemoryError` would be raised; if it returns True
-            the allocation is retried once (the hook a reactive planner's
-            eviction loop can use).
+
+    Requests are rounded up to :data:`ALIGNMENT` (:func:`request_size`)
+    and placed by the allocator's :class:`FreeList`.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        alignment: int = DEFAULT_ALIGNMENT,
-        coalescing: bool = True,
-        oom_callback: Optional[Callable[[int], bool]] = None,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if alignment <= 0 or (alignment & (alignment - 1)) != 0:
-            raise ValueError("alignment must be a positive power of two")
         self.capacity = int(capacity)
-        self.alignment = alignment
-        self.coalescing = coalescing
-        self.oom_callback = oom_callback
         self.stats = AllocatorStats()
-        self._segments: list[Segment] = []
-        self._free_blocks = _FreeIndex()
-        self._brk = 0  # next segment base address
+        #: segment index -> segment; indices only grow, so iteration
+        #: order is base order
+        self._segments: dict[int, Segment] = {}
+        self._free = FreeList()
+        self._next_segment = 0
+        #: Op log for the compiled tier's certification: while a list,
+        #: every malloc appends ``(owner, nbytes, addr, size,
+        #: reserved_a_segment)`` and every free ``(addr, size)``.
+        self.op_log: Optional[list[tuple]] = None
 
     # ------------------------------------------------------------------ info
 
@@ -293,12 +341,12 @@ class CachingAllocator:
     def largest_free_block(self) -> int:
         """Largest single allocation currently satisfiable.
 
-        O(1): the bucketed free index tracks its maximum, so the OOM
-        error path and per-iteration fragmentation stats no longer pay a
-        linear scan over every cached free block.
+        O(1): the free list tracks its maximum, so the OOM error path and
+        per-iteration fragmentation stats pay no linear scan over every
+        cached free block.
         """
         return max(
-            self._free_blocks.max_size(),
+            self._free.max_size(),
             self.capacity - self.stats.bytes_reserved,
         )
 
@@ -307,13 +355,13 @@ class CachingAllocator:
 
         The memory that exists but cannot serve one large request — the
         quantity behind DTR's budget-vs-actual gap in Fig 5.  O(1) via
-        the free index's tracked maximum.
+        the free list's tracked maximum.
         """
-        return max(0, self.bytes_free_cached - self._free_blocks.max_size())
+        return max(0, self.bytes_free_cached - self._free.max_size())
 
     def free_block_sizes(self) -> list[int]:
         """Sizes of all cached free blocks (for fragmentation histograms)."""
-        return sorted(b.size for b in self._free_blocks.values())
+        return sorted(size for _addr, size in self._free.items())
 
     def num_segments(self) -> int:
         return len(self._segments)
@@ -321,6 +369,7 @@ class CachingAllocator:
     def state_signature(self) -> tuple:
         """Order-sensitive fingerprint of the allocator's behavioural state.
 
+        ``(bytes_in_use, bytes_reserved, segment sizes, free blocks)``.
         Two allocators with equal signatures respond identically to any
         future malloc/free sequence.  The signature is *canonical*: no
         observable behaviour depends on absolute segment base addresses —
@@ -329,24 +378,23 @@ class CachingAllocator:
         nothing outside the allocator ever reads an address — so segments
         are relabelled by base order and free blocks expressed as
         (segment index, offset, size).  Two states that differ only in
-        where ``_brk`` happened to place their segments therefore compare
+        which segment indices they happened to reserve therefore compare
         equal, which is what lets the state re-converge after segment
         release/re-reserve churn.  Used by the iteration replay cache to
-        prove a steady-state iteration is identical to a recorded one;
-        cost is O(n log n) in the free-block count, negligible next to a
-        simulated iteration.
+        prove a steady-state iteration is identical to a recorded one,
+        and decoded by :meth:`FreeList.from_signature` as a compiled
+        template's starting state; cost is O(n log n) in the free-block
+        count, negligible next to a simulated iteration.
         """
-        segments = sorted(self._segments, key=lambda s: s.base)
-        index = {s.base: i for i, s in enumerate(segments)}
+        segments = self._segments
+        rank = {k: i for i, k in enumerate(segments)}
         return (
             self.stats.bytes_in_use,
             self.stats.bytes_reserved,
-            tuple(s.size for s in segments),
+            tuple(s.size for s in segments.values()),
             tuple(
-                sorted(
-                    (index[b.segment.base], b.addr - b.segment.base, b.size)
-                    for b in self._free_blocks.values()
-                )
+                (rank[addr >> SEGMENT_SHIFT], addr & _OFFSET_MASK, size)
+                for addr, size in sorted(self._free.items())
             ),
         )
 
@@ -360,27 +408,33 @@ class CachingAllocator:
         return _align_up(size, LARGE_ROUND)
 
     def malloc(self, nbytes: int, *, owner: str = "") -> Block:
-        """Allocate ``nbytes`` (rounded up to alignment).
+        """Allocate ``nbytes`` (rounded up by :func:`request_size`).
 
         Raises:
-            OutOfMemoryError: when the request cannot be satisfied even
-                after the ``oom_callback`` (if any) was given a chance to
-                release memory.
+            OutOfMemoryError: when no cached block fits and no new segment
+                can be reserved within capacity.
         """
         if nbytes < 0:
             raise ValueError("cannot allocate a negative number of bytes")
-        size = _align_up(max(nbytes, 1), self.alignment)
-
-        block = self._try_alloc(size, owner)
-        if block is None and self.oom_callback is not None:
-            if self.oom_callback(size):
-                block = self._try_alloc(size, owner)
-        if block is None:
-            self.stats.num_oom += 1
-            raise OutOfMemoryError(
-                size, self.bytes_free_cached, self.largest_free_block()
-            )
-        return block
+        size = request_size(nbytes)
+        placed = self._free.take(size)
+        reserved = placed is None
+        if reserved:
+            placed = self._reserve(size)
+            if placed is None:
+                self.stats.num_oom += 1
+                raise OutOfMemoryError(
+                    size, self.bytes_free_cached, self.largest_free_block()
+                )
+        addr, size = placed
+        stats = self.stats
+        stats.bytes_in_use += size
+        if stats.bytes_in_use > stats.peak_in_use:
+            stats.peak_in_use = stats.bytes_in_use
+        stats.num_allocs += 1
+        if self.op_log is not None:
+            self.op_log.append((owner, nbytes, addr, size, reserved))
+        return Block(addr, size, self._segments[addr >> SEGMENT_SHIFT])
 
     def try_malloc(self, nbytes: int, *, owner: str = "") -> Optional[Block]:
         """Like :meth:`malloc` but returns None instead of raising."""
@@ -389,80 +443,38 @@ class CachingAllocator:
         except OutOfMemoryError:
             return None
 
-    def _try_alloc(self, size: int, owner: str) -> Optional[Block]:
-        # Address-ordered best fit: ties on size break toward the lowest
-        # address, so the chosen block depends only on the *set* of free
-        # blocks, never on cache insertion history.  This canonical policy
-        # is what lets two iterations with equal free-block sets behave
-        # identically (the replay cache's steady-state proof).  The bucketed
-        # index returns exactly the block the old linear scan would.
-        best = self._free_blocks.best_fit(size)
-        if best is not None:
-            return self._carve(best, size, owner)
-        # Nothing cached fits: reserve a new segment if capacity allows.
+    def _reserve(self, size: int) -> Optional[tuple[int, int]]:
+        """Nothing cached fits: reserve a new segment if capacity allows and
+        serve ``size`` from it (None when even a tight fit cannot)."""
+        stats = self.stats
         seg_size = self._segment_size_for(size)
-        if self.stats.bytes_reserved + seg_size > self.capacity:
+        if stats.bytes_reserved + seg_size > self.capacity:
             # Like the CUDA caching allocator on a failed cudaMalloc:
             # release completely-free cached segments and retry.
             self._release_empty_segments()
-        if self.stats.bytes_reserved + seg_size > self.capacity:
-            # a tight-fit segment may still fit where the pooled size won't
-            seg_size = _align_up(size, self.alignment)
-            if self.stats.bytes_reserved + seg_size > self.capacity:
-                return None
-        segment = Segment(base=self._brk, size=seg_size)
-        self._brk += seg_size
-        whole = Block(addr=segment.base, size=seg_size, segment=segment, free=True)
-        segment.head = whole
-        self._segments.append(segment)
-        self._free_blocks.add(whole)
-        self.stats.bytes_reserved += seg_size
-        self.stats.peak_reserved = max(
-            self.stats.peak_reserved, self.stats.bytes_reserved
-        )
-        self.stats.num_segments += 1
-        return self._carve(whole, size, owner)
-
-    def _carve(self, block: Block, size: int, owner: str) -> Block:
-        """Serve ``size`` bytes from a free ``block``, splitting if worthwhile."""
-        self._free_blocks.remove(block)
-        remainder = block.size - size
-        if remainder >= MIN_SPLIT_REMAINDER:
-            tail = Block(
-                addr=block.addr + size,
-                size=remainder,
-                segment=block.segment,
-                free=True,
-            )
-            block.size = size
-            tail.prev = block
-            tail.next = block.next
-            if block.next is not None:
-                block.next.prev = tail
-            block.next = tail
-            self._free_blocks.add(tail)
-            self.stats.num_splits += 1
-        block.free = False
-        block.owner = owner
-        self.stats.bytes_in_use += block.size
-        self.stats.peak_in_use = max(
-            self.stats.peak_in_use, self.stats.bytes_in_use
-        )
-        self.stats.num_allocs += 1
-        return block
+            if stats.bytes_reserved + seg_size > self.capacity:
+                # a tight-fit segment may still fit where the pooled size won't
+                seg_size = size
+                if stats.bytes_reserved + seg_size > self.capacity:
+                    return None
+        k = self._next_segment
+        self._next_segment = k + 1
+        base = k << SEGMENT_SHIFT
+        self._segments[k] = Segment(base, seg_size)
+        stats.bytes_reserved += seg_size
+        stats.peak_reserved = max(stats.peak_reserved, stats.bytes_reserved)
+        # Nothing else fits, so best fit picks the fresh segment.
+        self._free.give(base, seg_size)
+        return self._free.take(size)
 
     def _release_empty_segments(self) -> None:
         """Return fully-free segments to the device (cudaFree on OOM path)."""
-        kept: list[Segment] = []
-        for seg in self._segments:
-            head = seg.head
-            if head is not None and head.free and head.next is None:
-                self._free_blocks.remove(head)
+        free = self._free
+        for k, seg in list(self._segments.items()):
+            if free.get(seg.base) == seg.size:
+                free.remove(seg.base)
+                del self._segments[k]
                 self.stats.bytes_reserved -= seg.size
-                self.stats.num_segments -= 1
-            else:
-                kept.append(seg)
-        self._segments = kept
 
     def release_cached(self) -> int:
         """Public ``empty_cache()``: drop all fully-free segments.
@@ -480,84 +492,13 @@ class CachingAllocator:
         if block.free:
             raise AllocationError(f"double free of block at {block.addr}")
         block.free = True
-        block.owner = ""
         self.stats.bytes_in_use -= block.size
         self.stats.num_frees += 1
-        if self.coalescing:
-            block = self._coalesce(block)
-        self._free_blocks.add(block)
-
-    def _coalesce(self, block: Block) -> Block:
-        """Merge free neighbours into ``block`` and return the survivor.
-
-        The survivor is *not* indexed on return: neighbours are removed
-        from the free index before their bytes are absorbed, and the caller
-        inserts the merged block exactly once — so no indexed block's size
-        ever changes (the invariant the bucketed index relies on).
-        """
-        while block.next is not None and block.next.free:
-            nxt = block.next
-            self._free_blocks.remove(nxt)
-            block.size += nxt.size
-            block.next = nxt.next
-            if nxt.next is not None:
-                nxt.next.prev = block
-            self.stats.num_coalesces += 1
-        while block.prev is not None and block.prev.free:
-            prv = block.prev
-            self._free_blocks.remove(prv)
-            prv.size += block.size
-            prv.next = block.next
-            if block.next is not None:
-                block.next.prev = prv
-            self.stats.num_coalesces += 1
-            block = prv
-        return block
+        if self.op_log is not None:
+            self.op_log.append((block.addr, block.size))
+        self._free.give(block.addr, block.size)
 
     # ------------------------------------------------------------- lifecycle
-
-    def clone(self) -> "CachingAllocator":
-        """An independent allocator in exactly this behavioural state.
-
-        Segments, block lists, the free index, stats and the ``_brk``
-        cursor are all deep-copied; no mutable state is shared, so driving
-        the clone cannot disturb the original (the compiled tier's shadow
-        certification relies on this).  ``oom_callback`` is deliberately
-        not carried over — a clone is a measurement instrument, not a
-        participant in the reactive eviction loop.
-        """
-        new = CachingAllocator.__new__(CachingAllocator)
-        new.capacity = self.capacity
-        new.alignment = self.alignment
-        new.coalescing = self.coalescing
-        new.oom_callback = None
-        new.stats = replace(self.stats)
-        new._segments = []
-        new._free_blocks = _FreeIndex()
-        new._brk = self._brk
-        for seg in self._segments:
-            nseg = Segment(base=seg.base, size=seg.size)
-            prev: Optional[Block] = None
-            node = seg.head
-            while node is not None:
-                nb = Block(
-                    addr=node.addr,
-                    size=node.size,
-                    segment=nseg,
-                    free=node.free,
-                    owner=node.owner,
-                )
-                if prev is None:
-                    nseg.head = nb
-                else:
-                    prev.next = nb
-                    nb.prev = prev
-                if nb.free:
-                    new._free_blocks.add(nb)
-                prev = nb
-                node = node.next
-            new._segments.append(nseg)
-        return new
 
     def reset_peaks(self) -> None:
         """Reset peak statistics (between iterations/experiments)."""
@@ -570,32 +511,23 @@ class CachingAllocator:
         Raises:
             AssertionError: if any invariant is violated.
         """
-        in_use = 0
+        stats = self.stats
+        self._free.check_consistency()
         reserved = 0
-        free_seen = 0
-        for seg in self._segments:
+        for k, seg in self._segments.items():
+            assert seg.base == k << SEGMENT_SHIFT, "segment base off its index"
+            assert 0 < seg.size <= _OFFSET_MASK, "segment size out of range"
             reserved += seg.size
-            node = seg.head
-            assert node is not None, "segment without blocks"
-            assert node.prev is None, "segment head has a predecessor"
-            prev_end = seg.base
-            while node is not None:
-                assert node.addr == prev_end, "blocks must tile the segment"
-                assert node.size > 0, "blocks must be non-empty"
-                assert node.segment is seg, "block belongs to wrong segment"
-                if node.free:
-                    assert node.addr in self._free_blocks
-                    free_seen += 1
-                else:
-                    assert node.addr not in self._free_blocks
-                    in_use += node.size
-                prev_end = node.end
-                node = node.next
-            assert prev_end == seg.end, "blocks must cover the whole segment"
-        assert in_use == self.stats.bytes_in_use, "in-use accounting must match"
-        assert reserved == self.stats.bytes_reserved, "reserve accounting must match"
-        assert free_seen == len(self._free_blocks), "free index must be exact"
-        self._free_blocks.check_consistency()
+        free_bytes = 0
+        for addr, size in self._free.items():
+            seg = self._segments.get(addr >> SEGMENT_SHIFT)
+            assert seg is not None, "free block outside every segment"
+            assert addr + size <= seg.base + seg.size, "free block overruns its segment"
+            free_bytes += size
+        assert reserved == stats.bytes_reserved, "reserve accounting must match"
+        assert free_bytes == stats.bytes_reserved - stats.bytes_in_use, (
+            "in-use accounting must match"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

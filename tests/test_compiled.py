@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import RunResult, summarize_runs
+from repro.engine.strategies import CollectStrategy, NormalStrategy
 from repro.experiments.runner import make_planner, run_task
 from repro.experiments.tasks import GB, load_task
 from repro.planners.base import ModelView
@@ -38,7 +39,6 @@ def _run(task, planner_name, budget, *, compiled, stream=None, faults=None,
         capacity_bytes=(
             budget if not planner.requires_physical_capacity else 32 * GB
         ),
-        coalescing=planner.allocator_coalescing,
         replay=True,
         compiled=compiled,
         faults=faults.build() if faults is not None else None,
@@ -82,6 +82,26 @@ def test_compiled_tier_actually_serves_unseen_sizes():
     assert summarize_runs([result])[0]["compiled_hit_rate"] == (
         result.compiled_hit_rate
     )
+
+
+def test_certified_iteration_is_simulated_once(monkeypatch):
+    """Certification reads the recorded pass: every strategy forward pass
+    belongs to an iteration the full-simulation tier served."""
+    forwards = []
+    for cls in (NormalStrategy, CollectStrategy):
+        def counted(self, ctx, _run=cls.run_forward):
+            forwards.append(ctx.iteration)
+            _run(self, ctx)
+
+        monkeypatch.setattr(cls, "run_forward", counted)
+    task = load_task("TC-Bert", iterations=120, seed=0)
+    result, executor = _run(task, "mimose", 4 * GB, compiled=True)
+    assert executor.compiled.certifications > 0
+    full_simulations = (
+        len(result.iterations) - executor.replay.hits - executor.compiled.hits
+    )
+    assert len(forwards) == full_simulations
+    assert len(set(forwards)) == len(forwards)
 
 
 # ------------------------------------------------- property: stats equality
@@ -160,10 +180,7 @@ def test_structural_drift_falls_back_and_deletes_template():
     model = task.fresh_model()
     planner = make_planner("sublinear", 4 * GB, task)
     planner.setup(ModelView(model))
-    executor = TrainingExecutor(
-        model, planner, capacity_bytes=4 * GB,
-        coalescing=planner.allocator_coalescing,
-    )
+    executor = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     cache = executor.compiled
     result = RunResult(task.spec.abbr, "sublinear", 4 * GB)
     tampered = False

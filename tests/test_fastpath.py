@@ -41,7 +41,6 @@ def _run(task, planner_name, budget, *, replay, timeline=None, faults=None,
             if not planner.requires_physical_capacity
             else 32 * GB
         ),
-        coalescing=planner.allocator_coalescing,
         timeline=timeline,
         replay=replay,
         faults=faults.build() if faults is not None else None,
@@ -118,10 +117,7 @@ def test_reactive_mode_never_replayed():
     model = task.fresh_model()
     planner = make_planner("dtr", 5 * GB, task)
     planner.setup(ModelView(model))
-    executor = TrainingExecutor(
-        model, planner, capacity_bytes=32 * GB,
-        coalescing=planner.allocator_coalescing,
-    )
+    executor = TrainingExecutor(model, planner, capacity_bytes=32 * GB)
     for batch in stream:
         executor.step(batch)
     assert executor.replay.hits == 0

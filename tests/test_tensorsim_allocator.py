@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.compiled import CompiledTemplate
 from repro.tensorsim.allocator import (
+    ALIGNMENT,
     AllocationError,
     CachingAllocator,
-    DEFAULT_ALIGNMENT,
+    FreeList,
     MEDIUM_SEGMENT,
     OutOfMemoryError,
+    SEGMENT_SHIFT,
     SMALL_SEGMENT,
+    request_size,
 )
 
 MB = 1 << 20
@@ -29,9 +33,9 @@ def test_basic_alloc_free_accounting():
 
 def test_alignment_rounding():
     alloc = CachingAllocator(64 * MB)
-    assert alloc.malloc(1).size == DEFAULT_ALIGNMENT
-    assert alloc.malloc(DEFAULT_ALIGNMENT).size == DEFAULT_ALIGNMENT
-    assert alloc.malloc(DEFAULT_ALIGNMENT + 1).size == 2 * DEFAULT_ALIGNMENT
+    assert alloc.malloc(1).size == ALIGNMENT
+    assert alloc.malloc(ALIGNMENT).size == ALIGNMENT
+    assert alloc.malloc(ALIGNMENT + 1).size == 2 * ALIGNMENT
 
 
 def test_small_requests_pool_into_one_segment():
@@ -124,14 +128,6 @@ def test_coalescing_merges_neighbours():
     alloc.check_consistency()
 
 
-def test_no_coalescing_keeps_fragments():
-    alloc = CachingAllocator(64 * MB, coalescing=False)
-    blocks = [alloc.malloc(256 * 1024) for _ in range(8)]
-    for b in blocks:
-        alloc.free(b)
-    assert len(alloc.free_block_sizes()) >= 8
-
-
 def test_fragmentation_metric():
     alloc = CachingAllocator(1024 * MB)
     keep = []
@@ -143,21 +139,6 @@ def test_fragmentation_metric():
     # free space is scattered in 2 MB holes across dedicated segments
     assert alloc.fragmentation_bytes() > 0
     alloc.check_consistency()
-
-
-def test_oom_callback_retry():
-    held = []
-
-    def evict(requested: int) -> bool:
-        if held:
-            alloc.free(held.pop())
-            return True
-        return False
-
-    alloc = CachingAllocator(8 * MB, oom_callback=evict)
-    held.append(alloc.malloc(6 * MB))
-    b = alloc.malloc(6 * MB)  # succeeds after the callback frees
-    assert b.size == 6 * MB
 
 
 def test_peaks_and_reset():
@@ -172,10 +153,6 @@ def test_peaks_and_reset():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         CachingAllocator(0)
-    with pytest.raises(ValueError):
-        CachingAllocator(1024, alignment=300)  # not a power of two
-    with pytest.raises(ValueError):
-        CachingAllocator(1024, alignment=-512)
 
 
 def test_negative_malloc_rejected():
@@ -237,3 +214,252 @@ def test_free_then_realloc_never_grows_reserved(sizes):
     for b in second:
         alloc.free(b)
     alloc.check_consistency()
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzz: the allocator against a linear-scan reference, and the
+# compiled tier's template path against the live allocator
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceAllocator:
+    """Linear-scan model of the documented policy, independent of FreeList.
+
+    Each segment is a list of ``[offset, size, free]`` blocks tiling it,
+    and every request scans all of them: best fit = the smallest free
+    block that fits, ties to the lowest address (segments in reservation
+    order, then offset); split only when at least 512 B would remain;
+    coalesce with free neighbours inside the segment.  Segment sizing,
+    release-on-pressure and the tight-fit fallback follow the CUDA
+    caching allocator as ``docs/substrate.md`` describes.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.segments: dict[int, list] = {}  # reservation number -> blocks
+        self.reservations = 0
+        self.in_use = 0
+
+    @property
+    def reserved(self) -> int:
+        return sum(blocks[-1][0] + blocks[-1][1] for blocks in self.segments.values())
+
+    def malloc(self, nbytes: int):
+        size = -(-max(nbytes, 1) // 512) * 512
+        best = None
+        for sid, blocks in self.segments.items():
+            for blk in blocks:
+                if blk[2] and blk[1] >= size and (best is None or blk[1] < best[1][1]):
+                    best = (sid, blk)
+        if best is None:
+            if size <= MB:
+                seg_size = 2 * MB
+            elif size <= 10 * MB:
+                seg_size = 20 * MB
+            else:
+                seg_size = -(-size // (2 * MB)) * 2 * MB
+            if self.reserved + seg_size > self.capacity:
+                self.release()
+                if self.reserved + seg_size > self.capacity:
+                    seg_size = size
+                    if self.reserved + seg_size > self.capacity:
+                        return None
+            best = (self.reservations, [0, seg_size, True])
+            self.segments[self.reservations] = [best[1]]
+            self.reservations += 1
+        sid, blk = best
+        blocks = self.segments[sid]
+        if blk[1] - size >= 512:
+            blocks.insert(blocks.index(blk) + 1, [blk[0] + size, blk[1] - size, True])
+            blk[1] = size
+        blk[2] = False
+        self.in_use += blk[1]
+        return sid, blk[0], blk[1]
+
+    def free(self, sid: int, offset: int) -> None:
+        blocks = self.segments[sid]
+        i = next(i for i, blk in enumerate(blocks) if blk[0] == offset)
+        blocks[i][2] = True
+        self.in_use -= blocks[i][1]
+        if i + 1 < len(blocks) and blocks[i + 1][2]:
+            blocks[i][1] += blocks.pop(i + 1)[1]
+        if i > 0 and blocks[i - 1][2]:
+            blocks[i - 1][1] += blocks.pop(i)[1]
+
+    def release(self) -> int:
+        empty = [
+            sid for sid, blocks in self.segments.items()
+            if len(blocks) == 1 and blocks[0][2]
+        ]
+        before = self.reserved
+        for sid in empty:
+            del self.segments[sid]
+        return before - self.reserved
+
+    def signature(self) -> tuple:
+        rank = {sid: i for i, sid in enumerate(self.segments)}
+        return (
+            self.in_use,
+            self.reserved,
+            tuple(blocks[-1][0] + blocks[-1][1] for blocks in self.segments.values()),
+            tuple(
+                (rank[sid], blk[0], blk[1])
+                for sid, blocks in self.segments.items()
+                for blk in blocks
+                if blk[2]
+            ),
+        )
+
+
+def _placement(block) -> tuple[int, int, int]:
+    """(segment index, offset, size) of a live allocator block."""
+    return (
+        block.segment.base >> SEGMENT_SHIFT,
+        block.addr - block.segment.base,
+        block.size,
+    )
+
+
+_quanta = st.integers(min_value=1, max_value=4).map(lambda n: n * 512)
+#: request sizes spanning every segment class (pooled small, pooled
+#: medium, dedicated large), zero-byte requests and whole quanta
+_any_bytes = st.one_of(
+    _quanta,
+    st.integers(min_value=0, max_value=64 * 1024),
+    st.integers(min_value=1, max_value=2 * MB),
+    st.integers(min_value=MB, max_value=24 * MB),
+)
+
+
+def _programs(request_bytes):
+    """(op, bytes, pick) lists: ops 0-2 allocate, 3-4 free live block
+    ``pick``, 5 releases the cached segments."""
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            request_bytes,
+            st.integers(min_value=0, max_value=1 << 16),
+        ),
+        min_size=30,
+        max_size=80,
+    )
+
+
+#: programs over a few whole quanta, where equal-size free blocks (the
+#: address tie-break) and remainders of exactly 512 B (the split
+#: threshold) are common, or over sizes of every segment class
+_any_program = st.one_of(_programs(_quanta), _programs(_any_bytes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.sampled_from([3 * MB, 8 * MB, 24 * MB, 64 * MB]),
+    program=_any_program,
+)
+def test_allocator_matches_linear_scan_reference(capacity, program):
+    """Identical placement, OOM points and signature at every step."""
+    alloc = CachingAllocator(capacity)
+    ref = _ReferenceAllocator(capacity)
+    live = []
+    for op, nbytes, pick in program:
+        if op <= 2 or (op <= 4 and not live):
+            block = alloc.try_malloc(nbytes)
+            placed = ref.malloc(nbytes)
+            assert (block is None) == (placed is None)
+            if block is not None:
+                assert _placement(block) == placed
+                live.append(block)
+        elif op <= 4:
+            block = live.pop(pick % len(live))
+            alloc.free(block)
+            ref.free(*_placement(block)[:2])
+        else:
+            assert alloc.release_cached() == ref.release()
+        assert alloc.state_signature() == ref.signature()
+    alloc.check_consistency()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prefix=_any_program,
+    steps=st.lists(
+        st.tuples(
+            _any_bytes,
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=1 << 16),
+        ),
+        min_size=10,
+        max_size=40,
+    ),
+)
+def test_template_path_matches_live_allocator(prefix, steps):
+    """A balanced program placed from ``state_signature()`` by the compiled
+    tier gives the live allocator's placements, block sizes, peak and
+    round-trip verdict, and declines whenever the live run reserves a
+    segment."""
+    alloc = CachingAllocator(64 * MB)
+    held = []
+    for op, nbytes, pick in prefix:
+        if op <= 2 or not held:
+            block = alloc.try_malloc(nbytes)
+            if block is not None:
+                held.append(block)
+        else:
+            alloc.free(held.pop(pick % len(held)))
+    signature = alloc.state_signature()
+    rank = {k: i for i, k in enumerate(sorted(alloc._segments))}
+
+    # each step allocates one request, then frees up to two live ones;
+    # whatever is still live at the end is freed last-in first-out
+    nbytes = [step[0] for step in steps]
+    program: list[int] = []
+    pending: list[int] = []
+    for k, (_nb, nfree, pick) in enumerate(steps):
+        program.append(k)
+        pending.append(k)
+        for _ in range(nfree):
+            program.append(-pending.pop(pick % len(pending)) - 1)
+            if not pending:
+                break
+    program += [-k - 1 for k in reversed(pending)]
+
+    # the live allocator, and in lockstep the free list the template
+    # starts from, until the live run reserves a segment (or fails)
+    alloc.reset_peaks()
+    alloc.op_log = []
+    free = FreeList.from_signature(signature)
+    blocks = {}
+    sizes = [0] * len(steps)
+    fits = True
+    for k in program:
+        if k >= 0:
+            block = alloc.try_malloc(nbytes[k])
+            if block is None or alloc.op_log[-1][4]:
+                fits = False
+                break
+            addr, sizes[k] = free.take(request_size(nbytes[k]))
+            segment, offset, size = _placement(block)
+            assert (*divmod(addr, 1 << SEGMENT_SHIFT), sizes[k]) == (
+                rank[segment], offset, size
+            )
+            blocks[k] = (block, addr)
+        else:
+            block, addr = blocks.pop(-k - 1)
+            alloc.free(block)
+            free.give(addr, block.size)
+    alloc.op_log = None
+
+    template = CompiledTemplate(
+        req_sources=((),) * len(steps), ops=tuple(program),
+        start_free=FreeList.from_signature(signature), unit_names=(),
+        record_struct=(), promoted=(), upkeep_rate=0.0, charge_prog=(),
+        measure_spec=(), start_in_use=signature[0], const_stats=None,
+    )
+    placed = template._place([request_size(nb) for nb in nbytes])
+    if not fits:
+        assert placed is None
+        return
+    assert (placed is not None) == (alloc.state_signature() == signature)
+    if placed is not None:
+        assert placed[0] == sizes
+        assert signature[0] + placed[1] == alloc.stats.peak_in_use
