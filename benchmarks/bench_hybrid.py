@@ -1,7 +1,7 @@
 """Hybrid (swap+recompute) Mimose vs the Capuchin baseline.
 
 The action-layer refactor made Mimose's excess-covering step pluggable:
-``--scheduler hybrid`` runs the same PCIe cost rule Capuchin uses, but
+``--solver hybrid`` runs the same PCIe cost rule Capuchin uses, but
 re-priced per input size from the Lightning estimator.  The paper's
 input-dynamics argument then predicts a concrete win on a transformer
 workload over a slow host link:
@@ -22,10 +22,10 @@ Capuchin overshoots.
 
 from dataclasses import replace
 
-from repro.core.scheduler import predicted_swap_stall
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_task
 from repro.experiments.tasks import GB, load_task
+from repro.solvers import predicted_swap_stall
 from repro.tensorsim.device import DeviceModel, V100
 
 from conftest import run_once, save_result
@@ -39,7 +39,7 @@ ITERATIONS = 40
 SLOW_PCIE = 6e9
 
 
-def _run(planner, *, scheduler=None):
+def _run(planner, *, solver=None):
     device = DeviceModel(replace(V100, pcie_bandwidth=SLOW_PCIE))
     task = load_task(TASK, iterations=ITERATIONS, seed=0)
     result = run_task(
@@ -48,10 +48,10 @@ def _run(planner, *, scheduler=None):
         BUDGET,
         device=device,
         max_iterations=ITERATIONS,
-        scheduler=scheduler,
+        solver=solver,
     )
     return {
-        "planner": planner + (f"+{scheduler}" if scheduler else ""),
+        "planner": planner + (f"+{solver}" if solver else ""),
         "stall_ms": 1e3 * sum(s.swap_stall_time for s in result.iterations),
         "swaps": sum(s.num_swapped for s in result.iterations),
         "drops": sum(s.num_checkpointed for s in result.iterations),
@@ -67,7 +67,7 @@ def bench_hybrid_mimose_stalls_less_than_capuchin(benchmark, results_dir):
     def scenario():
         return {
             "capuchin": _run("capuchin"),
-            "hybrid": _run("mimose", scheduler="hybrid"),
+            "hybrid": _run("mimose", solver="hybrid"),
         }
 
     rows = run_once(benchmark, scenario)
@@ -114,7 +114,7 @@ def _calibration_run(pcie, bwd_ratio=None):
         BUDGET,
         device=device,
         max_iterations=ITERATIONS,
-        scheduler="hybrid",
+        solver="hybrid",
         bwd_ratio=bwd_ratio,
         observers=[box.append],
     )

@@ -18,7 +18,7 @@ from repro.solvers import (
     SolverInput,
 )
 from repro.engine.stats import UnitMeasurement
-from repro.planners.base import CheckpointPlan
+from repro.planners.base import ActionAssignment, CheckpointPlan
 from repro.tensorsim.allocator import CachingAllocator
 
 MB = 1 << 20
@@ -91,7 +91,9 @@ def bench_plan_cache_lookup(benchmark):
     """Cache hit path: microseconds (the common responsive-phase case)."""
     cache = PlanCache()
     for s in range(1_000, 65_000, 500):
-        cache.put(s, CheckpointPlan(frozenset({"enc.0"}), str(s)))
+        cache.put(
+            s, CheckpointPlan(ActionAssignment.from_sets(recompute={"enc.0"}), str(s))
+        )
     result = benchmark(cache.get, 32_000)
     assert result is not None
 

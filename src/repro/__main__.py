@@ -18,6 +18,7 @@ from repro.experiments.report import render_table
 from repro.experiments.runner import (
     PLANNER_NAMES,
     SOLVER_NAMES,
+    make_planner,
     run_task,
     sweep,
 )
@@ -106,10 +107,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     budget = int(args.budget_gb * GB)
     faults = _parse_faults(args)
-    if args.static_fit and args.planner != "mimose":
-        raise SystemExit(
-            "error: --static-fit applies to --planner mimose only"
-        )
     # A drift scenario arms mimose's lifecycle monitors unless the run is
     # the frozen-fit ablation comparator.
     drift_detection = (
@@ -127,24 +124,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         counter = EventCounter()
         observers.append(lambda ex: counter.attach(ex.events))
-    scheduler = args.scheduler if args.scheduler != "greedy" else None
-    if scheduler is not None and args.planner != "mimose":
-        raise SystemExit(
-            f"error: --solver {scheduler} applies to --planner mimose "
-            f"only, not {args.planner!r}"
+    solver = args.solver if args.solver != "greedy" else None
+    try:
+        # make_planner holds every run-option check; building the planner
+        # up front rejects a bad flag before the baseline run.
+        make_planner(
+            args.planner,
+            budget,
+            task,
+            solver=solver,
+            bwd_ratio=args.bwd_ratio,
+            drift_detection=drift_detection,
+            static_fit=args.static_fit,
         )
-    if args.bwd_ratio is not None:
-        if scheduler is None or not solver_class(scheduler).prices_actions:
-            raise SystemExit(
-                "error: --bwd-ratio applies to action-pricing solvers "
-                "only (hybrid, exact, lp)"
-            )
-        if args.bwd_ratio <= 0:
-            raise SystemExit("error: --bwd-ratio must be positive")
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     # Capture the executor so the report can say which pricing branch the
     # solver's cost model actually used (observers never alter simulation).
     executor_box: list = []
-    if scheduler is not None and solver_class(scheduler).prices_actions:
+    if solver is not None and solver_class(solver).prices_actions:
         observers.append(executor_box.append)
     is_baseline_run = args.planner == "baseline" and faults is None
     baseline = run_task(
@@ -166,7 +164,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             faults=faults,
             max_retries=args.max_retries,
             observers=observers,
-            scheduler=scheduler,
+            solver=solver,
             bwd_ratio=args.bwd_ratio,
             compiled=not args.no_compiled,
             drift_detection=drift_detection,
@@ -351,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--budget-gb", type=float, required=True)
     run_p.add_argument(
         "--solver",
-        "--scheduler",  # pre-registry spelling, kept as an alias
-        dest="scheduler",
         choices=SOLVER_NAMES,
         default="greedy",
         help=(

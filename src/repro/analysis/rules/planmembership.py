@@ -4,7 +4,8 @@ The action-layer refactor made :meth:`~repro.planners.base
 .ActionAssignment.action_for` the single interpretation point for a
 checkpoint plan: one lookup answers "what happens to this unit" for
 every action at once.  Code that instead probes the derived legacy sets
-(``unit in plan.checkpoint_units``, ``unit in plan.swap_units``)
+(``unit in assignment.checkpoint_units``,
+``unit in assignment.swap_units``)
 re-derives a frozenset per probe and — worse — resurrects the
 three-independent-sets reading of a plan, where a new
 :class:`~repro.planners.base.MemoryAction` silently falls through every
@@ -42,7 +43,7 @@ def _reads_unit_set(node: ast.AST) -> bool:
 class PlanMembershipRule(Rule):
     id = "plan-membership"
     summary = (
-        "per-unit membership tests against plan.checkpoint_units/swap_units "
+        "per-unit membership tests against assignment.checkpoint_units/swap_units "
         "are banned outside planners and strategies; ask "
         "assignment.action_for(unit) instead"
     )

@@ -8,9 +8,10 @@ The input-aware checkpointing planner (§IV) and its three components:
   polynomial regression of activation memory vs input size (§IV-C), with
   the alternative regression families of Table IV in
   :mod:`repro.core.estimators`;
-* :class:`~repro.core.scheduler.GreedyScheduler` — Algorithm 1's
-  bucketed greedy selection (§IV-D), behind a pluggable
-  :class:`~repro.core.scheduler.Scheduler` interface;
+* :class:`~repro.solvers.GreedyScheduler` — Algorithm 1's bucketed
+  greedy selection (§IV-D), one of the registered
+  :class:`~repro.solvers.Solver` s the planner can run (the solver
+  family itself lives in :mod:`repro.solvers`);
 * :class:`~repro.core.plan_cache.PlanCache` — input-size-keyed plan reuse
   (§V);
 * :class:`~repro.core.lifecycle.LifecycleController` — the explicit
@@ -35,12 +36,6 @@ from repro.core.estimators import (
 )
 from repro.core.estimator import EstimatorReport, LightningMemoryEstimator
 from repro.core.plan_cache import PlanCache
-from repro.core.scheduler import (
-    GreedyScheduler,
-    KnapsackScheduler,
-    Scheduler,
-    SchedulerInput,
-)
 from repro.core.planner import MimosePlanner
 
 __all__ = [
@@ -60,9 +55,5 @@ __all__ = [
     "EstimatorReport",
     "LightningMemoryEstimator",
     "PlanCache",
-    "GreedyScheduler",
-    "KnapsackScheduler",
-    "Scheduler",
-    "SchedulerInput",
     "MimosePlanner",
 ]

@@ -181,15 +181,9 @@ class TrainingExecutor:
         """(forward, backward) seconds for one unit profile (cached)."""
         key = (profile.module_name, profile.input)
         cached = self._time_cache.get(key)
-        if cached is not None:
-            return cached
-        fwd = 0.0
-        bwd = 0.0
-        for c in profile.op_costs:
-            fwd += self.device.kernel_time(c.flops, c.bytes_moved)
-            bwd += self.device.kernel_time(c.bwd_flops, c.bwd_bytes)
-        self._time_cache[key] = (fwd, bwd)
-        return fwd, bwd
+        if cached is None:
+            cached = self._time_cache[key] = self.device.unit_times(profile)
+        return cached
 
     def _optimizer_time(self) -> float:
         n = self.model.param_count()

@@ -841,7 +841,7 @@ def segment_info(
     last-of-segment names)``.  Each segment must be a consecutive run
     of checkpointable units in model order.
     """
-    segments = decision.plan.segments
+    segments = decision.plan.assignment.segments
     if not segments:
         return {}, set(), set()
     order = {u.name: i for i, u in enumerate(model.units)}

@@ -18,7 +18,7 @@ from repro.experiments.tasks import GB, load_task
 from repro.models.base import BatchInput
 from repro.models.registry import build_model
 from repro.planners.analysis import no_checkpoint_peak, predict_peak_bytes
-from repro.planners.base import CheckpointPlan, ModelView
+from repro.planners.base import ActionAssignment, ModelView
 from repro.tensorsim.dtypes import INT64
 
 
@@ -171,10 +171,9 @@ def fig9_data(
         profiles = view.profiles(batch)
         series = []
         for k in range(12):
-            plan = CheckpointPlan.of([f"encoder.{k}"], f"enc{k}")
             peak = predict_peak_bytes(
                 profiles,
-                plan,
+                ActionAssignment.from_sets(recompute=[f"encoder.{k}"]),
                 static_bytes=view.static_memory.total,
                 input_nbytes=batch.nbytes,
                 checkpointable=view.checkpointable,

@@ -31,7 +31,7 @@ from repro.planners.dtr import DTRPlanner
 from repro.planners.monet import MonetPlanner
 from repro.planners.none import NoCheckpointPlanner
 from repro.planners.sublinear import SublinearPlanner
-from repro.solvers import Solver, make_solver, solver_class, solver_names
+from repro.solvers import make_solver, solver_class, solver_names
 from repro.tensorsim.device import DeviceModel, V100
 from repro.tensorsim.faults import FaultInjector, FaultPlan
 
@@ -44,34 +44,8 @@ PLANNER_NAMES = (
 #: (recompute-only) and the default; "knapsack" is the 0/1 alternative;
 #: "hybrid" prices RECOMPUTE against SWAP per unit with the shared PCIe
 #: cost model; the rest are the optimality-harness solvers (exact, lp,
-#: chen-*) and the static planner cores (sublinear, checkmate).
+#: chen-*) and the static planners' decision rules (sublinear, checkmate).
 SOLVER_NAMES = solver_names()
-
-#: the pre-registry subset (the original ``--scheduler`` choices), kept
-#: for callers that enumerate the paper's own scheduler family.
-SCHEDULER_NAMES = ("greedy", "knapsack", "hybrid")
-
-
-def make_scheduler(
-    name: str,
-    *,
-    device: Optional[DeviceModel] = None,
-    bwd_ratio: Optional[float] = None,
-) -> Solver:
-    """Construct a solver by name — the registry's experiment-side door.
-
-    Kept under its pre-registry name; delegates to
-    :func:`repro.solvers.make_solver` with the experiment default device
-    so action-pricing solvers (hybrid, exact, lp) price PCIe transfers
-    on the V100 preset every run uses.  ``bwd_ratio`` forces ratio
-    pricing instead of measured backward times (``--bwd-ratio`` on the
-    CLI); it is an explicit override only — the default is measured
-    pricing with the labelled
-    :data:`~repro.solvers.PcieCostModel.DEFAULT_BWD_RATIO` fallback.
-    """
-    return make_solver(
-        name, device=device or DeviceModel(V100), bwd_ratio=bwd_ratio
-    )
 
 
 def make_planner(
@@ -80,7 +54,7 @@ def make_planner(
     task: TaskContext,
     *,
     device: Optional[DeviceModel] = None,
-    scheduler: Optional[str] = None,
+    solver: Optional[str] = None,
     bwd_ratio: Optional[float] = None,
     drift_detection: bool = False,
     static_fit: bool = False,
@@ -98,13 +72,19 @@ def make_planner(
     replanning); ``static_fit`` is the ablation comparator that never
     refits — its recollect margin is infinite, so the initial fit is
     trusted for every later input size.  Both are Mimose-only.
+
+    This is the one home of the run-option checks: every option
+    combination no planner accepts raises ``ValueError`` here (a
+    non-positive ``bwd_ratio`` from the cost model that would use it),
+    before any simulation — the CLI builds the planner once up front for
+    exactly that reason.
     """
-    if scheduler is not None and name != "mimose":
+    if solver is not None and name != "mimose":
         raise ValueError(
             f"--solver applies to the mimose planner only, not {name!r}"
         )
     if bwd_ratio is not None and (
-        scheduler is None or not solver_class(scheduler).prices_actions
+        solver is None or not solver_class(solver).prices_actions
     ):
         raise ValueError(
             "--bwd-ratio applies to action-pricing solvers only "
@@ -139,9 +119,9 @@ def make_planner(
         return CapuchinPlanner(budget_bytes)
     if name == "mimose":
         kwargs: dict[str, object] = {}
-        if scheduler is not None:
-            kwargs["scheduler"] = make_scheduler(
-                scheduler, device=device, bwd_ratio=bwd_ratio
+        if solver is not None:
+            kwargs["scheduler"] = make_solver(
+                solver, device=device, bwd_ratio=bwd_ratio
             )
         if drift_detection:
             kwargs["drift_detection"] = True
@@ -162,7 +142,7 @@ def run_task(
     faults: Optional[FaultPlan] = None,
     max_retries: int = 3,
     observers: Sequence[Callable[[TrainingExecutor], None]] = (),
-    scheduler: Optional[str] = None,
+    solver: Optional[str] = None,
     bwd_ratio: Optional[float] = None,
     compiled: bool = True,
     drift_detection: bool = False,
@@ -188,11 +168,11 @@ def run_task(
     simulated behaviour (the bus is observe-only), so the digest contract
     is unaffected.
 
-    ``scheduler`` names one of :data:`SOLVER_NAMES` for Mimose's
+    ``solver`` names one of :data:`SOLVER_NAMES` for Mimose's
     excess-covering step (``--solver`` on the CLI); ``None`` keeps the
     planner's default.  Rejected for non-Mimose planners.  ``bwd_ratio``
     forces ratio pricing in action-pricing solvers (``--bwd-ratio``);
-    rejected for coverage-only solvers.
+    it must be positive and is rejected for coverage-only solvers.
 
     ``compiled`` toggles the executor's compiled-template tier
     (``--no-compiled`` on the CLI disables it); results are bit-identical
@@ -215,7 +195,7 @@ def run_task(
         budget_bytes,
         task,
         device=device,
-        scheduler=scheduler,
+        solver=solver,
         bwd_ratio=bwd_ratio,
         drift_detection=drift_detection,
         static_fit=static_fit,

@@ -32,7 +32,6 @@ from repro.graph.ops import (
     Tanh,
     Transpose,
 )
-from repro.graph.articulation import articulation_points
 from repro.graph.module import (
     ActivationRecord,
     Module,
@@ -64,7 +63,6 @@ __all__ = [
     "Softmax",
     "Tanh",
     "Transpose",
-    "articulation_points",
     "ActivationRecord",
     "Module",
     "ModuleProfile",

@@ -18,10 +18,11 @@ cross-check it against executor-measured peaks to sub-KB precision.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.graph.module import ActivationRecord, ModuleProfile
-from repro.planners.base import CheckpointPlan
+from repro.models.base import BatchInput
+from repro.planners.base import ActionAssignment, MemoryAction, ModelView
 
 
 def _trimmed_records(profile: ModuleProfile) -> tuple[tuple[ActivationRecord, ...], bool]:
@@ -104,17 +105,19 @@ def _unit_recompute_footprint(profile: ModuleProfile) -> tuple[int, int]:
 
 def predict_peak_bytes(
     profiles: Sequence[ModuleProfile],
-    plan: CheckpointPlan,
+    assignment: ActionAssignment,
     *,
     static_bytes: int,
     input_nbytes: int,
     checkpointable: frozenset[str] | None = None,
 ) -> int:
-    """Peak bytes of one iteration under ``plan`` (allocator rounding aside).
+    """Peak bytes of one iteration under ``assignment`` (allocator rounding aside).
 
     Args:
         profiles: per-unit profiles for the input size being planned.
-        plan: units whose internals are dropped after forward.
+        assignment: the plan's per-unit actions; RECOMPUTE units drop
+            their internals after forward, SEGMENT groups replay
+            together (SWAP is not modelled: swapped units stay resident).
         static_bytes: parameters + gradients + optimizer + workspace.
         input_nbytes: the collated batch tensor size.
         checkpointable: units eligible for checkpointing; plan entries for
@@ -124,7 +127,7 @@ def predict_peak_bytes(
     index_of = {p.module_name: i for i, p in enumerate(profiles)}
     seg_of: dict[int, int] = {}
     seg_members: dict[int, list[int]] = {}
-    for sid, segment in enumerate(plan.segments):
+    for sid, segment in enumerate(assignment.segments):
         for name in segment:
             i = index_of[name]
             seg_of[i] = sid
@@ -134,7 +137,10 @@ def predict_peak_bytes(
     ckpt = [False] * n
     for i, p in enumerate(profiles):
         eligible = checkpointable is None or p.module_name in checkpointable
-        ckpt[i] = eligible and p.module_name in plan and i not in seg_of
+        ckpt[i] = (
+            eligible
+            and assignment.action_for(p.module_name) is MemoryAction.RECOMPUTE
+        )
 
     saved = [unit_saved_bytes(p) for p in profiles]
     bound = [boundary_bytes(p) for p in profiles]
@@ -182,7 +188,7 @@ def no_checkpoint_peak(
     """Peak with nothing checkpointed (the baseline / memory upper bound)."""
     return predict_peak_bytes(
         profiles,
-        CheckpointPlan.none(),
+        ActionAssignment(),
         static_bytes=static_bytes,
         input_nbytes=input_nbytes,
     )
@@ -196,11 +202,36 @@ def full_checkpoint_peak(
     checkpointable: frozenset[str],
 ) -> int:
     """Peak with every eligible unit checkpointed (the memory lower bound)."""
-    plan = CheckpointPlan.of(sorted(checkpointable), "all")
     return predict_peak_bytes(
         profiles,
-        plan,
+        ActionAssignment.from_sets(recompute=checkpointable),
         static_bytes=static_bytes,
         input_nbytes=input_nbytes,
         checkpointable=checkpointable,
     )
+
+
+def peak_model(
+    view: ModelView,
+    batch: BatchInput,
+    profiles: Sequence[ModuleProfile] | None = None,
+) -> Callable[[ActionAssignment], int]:
+    """The exact peak of any assignment at ``batch``, profiling once.
+
+    The feasibility oracle the static planners search with: the model is
+    profiled here (or ``profiles``, the caller's profiles of ``batch``,
+    are reused), not per candidate.
+    """
+    unit_profiles = view.profiles(batch) if profiles is None else profiles
+    static_bytes = view.static_memory.total
+
+    def peak(assignment: ActionAssignment) -> int:
+        return predict_peak_bytes(
+            unit_profiles,
+            assignment,
+            static_bytes=static_bytes,
+            input_nbytes=batch.nbytes,
+            checkpointable=view.checkpointable,
+        )
+
+    return peak

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.models.base import BatchInput, SegmentedModel, StaticMemory
 
@@ -57,7 +57,7 @@ class MemoryAction(enum.Enum):
 class ActionAssignment:
     """Immutable, canonical mapping of unit name → :class:`MemoryAction`.
 
-    The single source of truth a :class:`CheckpointPlan` is a view over.
+    The per-unit decisions a :class:`CheckpointPlan` carries.
     ``actions`` holds only the non-KEEP, non-SEGMENT entries as a tuple of
     ``(unit, action)`` pairs sorted by unit name — the *canonical form*,
     so two assignments describing the same per-unit decisions are equal
@@ -123,10 +123,6 @@ class ActionAssignment:
     # ------------------------------------------------------------- factories
 
     @classmethod
-    def empty(cls) -> "ActionAssignment":
-        return cls()
-
-    @classmethod
     def from_sets(
         cls,
         *,
@@ -134,7 +130,7 @@ class ActionAssignment:
         swap: Iterable[str] = (),
         segments: tuple[tuple[str, ...], ...] = (),
     ) -> "ActionAssignment":
-        """Build from the legacy three-structure vocabulary."""
+        """Build from the set vocabulary: recompute set, swap set, segments."""
         pairs = [(n, MemoryAction.RECOMPUTE) for n in recompute]
         pairs += [(n, MemoryAction.SWAP) for n in swap]
         return cls(tuple(pairs), segments)
@@ -172,21 +168,14 @@ class ActionAssignment:
         return not self._index
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class CheckpointPlan:
-    """Per-unit memory actions for one iteration.
+    """Per-unit memory actions for one iteration, plus their provenance.
 
-    A thin frozen view over an :class:`ActionAssignment`: the legacy
-    ``checkpoint_units`` (dropped after forward, recomputed during
-    backward), ``swap_units`` (offloaded to host memory over PCIe, the
-    hybrid planners of Table I) and ``segments`` (Chen et al. groups of
-    consecutive units checkpointed together — interior boundaries drop
-    too, and the backward recomputes the whole segment front-to-back)
-    are all derived from the assignment, which is the canonical identity
-    the plan cache and the replay key hash on.  The legacy positional
-    constructor is preserved so hand-built plans keep working.
-
-    A unit carries at most one action (the assignment validates this).
+    ``assignment`` is the plan's identity — the canonical per-unit
+    actions the plan cache and the replay key hash on.  ``label`` names
+    the decision that produced it (reported as
+    ``IterationStats.plan_label``).
 
     ``predicted_peak_bytes`` is the peak memory the issuing planner
     predicted for this plan (None when the planner made no prediction).
@@ -197,82 +186,12 @@ class CheckpointPlan:
     """
 
     assignment: ActionAssignment
-    label: str
-    predicted_peak_bytes: Optional[int]
-
-    def __init__(
-        self,
-        checkpoint_units: frozenset[str] = frozenset(),
-        label: str = "",
-        swap_units: frozenset[str] = frozenset(),
-        segments: tuple[tuple[str, ...], ...] = (),
-        predicted_peak_bytes: Optional[int] = None,
-        *,
-        assignment: Optional[ActionAssignment] = None,
-    ) -> None:
-        if assignment is None:
-            assignment = ActionAssignment.from_sets(
-                recompute=checkpoint_units,
-                swap=swap_units,
-                segments=segments,
-            )
-        elif checkpoint_units or swap_units or segments:
-            raise ValueError(
-                "pass either an assignment or the legacy unit sets, not both"
-            )
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "predicted_peak_bytes", predicted_peak_bytes)
-
-    # ------------------------------------------------------- action dispatch
-
-    def action_for(self, unit_name: str) -> MemoryAction:
-        return self.assignment.action_for(unit_name)
-
-    # --------------------------------------------------- derived legacy view
-
-    @property
-    def checkpoint_units(self) -> frozenset[str]:
-        return self.assignment.checkpoint_units
-
-    @property
-    def swap_units(self) -> frozenset[str]:
-        return self.assignment.swap_units
-
-    @property
-    def segments(self) -> tuple[tuple[str, ...], ...]:
-        return self.assignment.segments
-
-    @property
-    def segment_units(self) -> frozenset[str]:
-        return self.assignment.segment_units
+    label: str = ""
+    predicted_peak_bytes: Optional[int] = None
 
     @classmethod
     def none(cls) -> "CheckpointPlan":
-        return cls(frozenset(), "none")
-
-    @classmethod
-    def of(cls, names: Sequence[str], label: str = "") -> "CheckpointPlan":
-        return cls(frozenset(names), label)
-
-    @classmethod
-    def from_assignment(
-        cls,
-        assignment: ActionAssignment,
-        label: str = "",
-        predicted_peak_bytes: Optional[int] = None,
-    ) -> "CheckpointPlan":
-        return cls(
-            label=label,
-            predicted_peak_bytes=predicted_peak_bytes,
-            assignment=assignment,
-        )
-
-    def __contains__(self, unit_name: str) -> bool:
-        return unit_name in self.checkpoint_units
-
-    def __len__(self) -> int:
-        return len(self.checkpoint_units)
+        return cls(ActionAssignment(), "none")
 
 
 class ExecutionMode(enum.Enum):
@@ -432,6 +351,43 @@ class Planner:
         if self.view is None:
             raise RuntimeError(f"{self.name}.setup() was never called")
         return self.view
+
+
+class StaticPlanner(Planner):
+    """A planner that solves once, offline, for one assumed input batch.
+
+    Sublinear, its segment-fallback variant, Checkmate and MONeT decide
+    at :meth:`setup` against the batch their papers allow them to know
+    offline (the worst case, or a calibration shape) and serve that one
+    plan to every iteration — the conservatism §III-B criticises.
+    Subclasses implement :meth:`_solve`.
+
+    Args:
+        budget_bytes: GPU memory budget.
+        assumed_batch: the batch shape the plan is solved for.
+    """
+
+    #: headroom below the budget for allocator segment-pooling slack
+    FRAG_RESERVE = 256 * 1024**2
+
+    def __init__(self, budget_bytes: int, assumed_batch: BatchInput) -> None:
+        super().__init__(budget_bytes)
+        self.assumed_batch = assumed_batch
+        self._plan: Optional[CheckpointPlan] = None
+
+    def setup(self, view: ModelView) -> None:
+        super().setup(view)
+        self._plan = self._solve(view)
+
+    def _solve(self, view: ModelView) -> CheckpointPlan:
+        """The plan for :attr:`assumed_batch` (called once, at setup)."""
+        raise NotImplementedError
+
+    def plan(self, batch: BatchInput) -> PlanDecision:
+        if self._plan is None:
+            raise RuntimeError("setup() must run before plan()")
+        # Applying a precomputed static plan costs essentially nothing.
+        return PlanDecision(self._plan, planning_time=1e-6)
 
 
 @dataclass(slots=True)

@@ -18,16 +18,16 @@ memory on the OD tasks.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.models.base import BatchInput
-from repro.planners.analysis import predict_peak_bytes, unit_saved_bytes
+from repro.planners.analysis import peak_model, unit_saved_bytes
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ModelView,
-    PlanDecision,
-    Planner,
     PlannerCapabilities,
+    StaticPlanner,
 )
 
 _SCALE = 1 << 20  # knapsack weight quantum: 1 MiB
@@ -78,7 +78,19 @@ def solve_keep_knapsack(
     return chosen
 
 
-class CheckmatePlanner(Planner):
+def knapsack_drop(
+    names: Sequence[str],
+    values: Sequence[float],
+    weights: Sequence[int],
+    capacity: int,
+) -> frozenset[str]:
+    """The units to drop: the complement of the keep-knapsack's choice
+    (every unit when ``capacity <= 0``)."""
+    kept = {names[i] for i in solve_keep_knapsack(values, weights, capacity)}
+    return frozenset(n for n in names if n not in kept)
+
+
+class CheckmatePlanner(StaticPlanner):
     """Optimal static planner for an assumed input shape.
 
     Args:
@@ -97,8 +109,6 @@ class CheckmatePlanner(Planner):
         search_algorithm="MILP+approx.",
     )
     requires_physical_capacity = True  # overshoots on larger-than-assumed inputs
-    #: headroom below the budget for allocator segment-pooling slack
-    FRAG_RESERVE = 256 * 1024**2
 
     def __init__(
         self,
@@ -108,8 +118,7 @@ class CheckmatePlanner(Planner):
         solve_time_s: float = 3600.0,
         enforce_budget: bool = False,
     ) -> None:
-        super().__init__(budget_bytes)
-        self.assumed_batch = assumed_batch
+        super().__init__(budget_bytes, assumed_batch)
         self.solve_time_s = solve_time_s
         # When the assumed shape is the true worst case (NLP, where the
         # truncation cap bounds every input) the plan genuinely respects
@@ -117,58 +126,33 @@ class CheckmatePlanner(Planner):
         # a calibration shape (OD) larger inputs overshoot, and only
         # physical capacity makes that observable (Fig 10 annotations).
         self.requires_physical_capacity = not enforce_budget
-        self._plan: Optional[CheckpointPlan] = None
 
     # ------------------------------------------------------------------ solve
 
-    def setup(self, view: ModelView) -> None:
-        super().setup(view)
-        self._plan = self._solve(view)
-
     def _solve(self, view: ModelView) -> CheckpointPlan:
-        batch = self.assumed_batch
-        profiles = view.profiles(batch)
-        static = view.static_memory.total
-        names = [n for n in view.unit_names if n in view.checkpointable]
-        by_name = {p.module_name: p for p in profiles}
-        saved = {n: unit_saved_bytes(by_name[n]) for n in names}
-        fwd_cost = {n: by_name[n].fwd_flops for n in names}
+        return self._solve_within(view, self.budget_bytes)
 
-        all_plan = CheckpointPlan.of(names, "all")
-        floor_peak = predict_peak_bytes(
-            profiles,
-            all_plan,
-            static_bytes=static,
-            input_nbytes=batch.nbytes,
-            checkpointable=view.checkpointable,
-        )
-        usable = self.budget_bytes - self.FRAG_RESERVE
-        capacity = usable - floor_peak
+    def _solve_within(self, view: ModelView, budget_bytes: int) -> CheckpointPlan:
+        """The knapsack plan whose exact peak fits ``budget_bytes``."""
+        names = [n for n in view.unit_names if n in view.checkpointable]
+        profiles = view.profiles(self.assumed_batch)
+        by_name = {p.module_name: p for p in profiles}
+        saved = [unit_saved_bytes(by_name[n]) for n in names]
+        fwd_cost = [by_name[n].fwd_flops for n in names]
+        peak = peak_model(view, self.assumed_batch, profiles)
+
+        all_plan = CheckpointPlan(ActionAssignment.from_sets(recompute=names), "all")
+        usable = budget_bytes - self.FRAG_RESERVE
+        capacity = usable - peak(all_plan.assignment)
         # Tighten until the exact peak model accepts the plan (quantisation
         # and liveness-window effects can make the linear model optimistic).
         for _ in range(16):
             if capacity <= 0:
                 return all_plan
-            kept_idx = solve_keep_knapsack(
-                [fwd_cost[n] for n in names],
-                [saved[n] for n in names],
-                capacity,
-            )
-            kept = {names[i] for i in kept_idx}
-            plan = CheckpointPlan(frozenset(names) - frozenset(kept), "checkmate")
-            peak = predict_peak_bytes(
-                profiles,
-                plan,
-                static_bytes=static,
-                input_nbytes=batch.nbytes,
-                checkpointable=view.checkpointable,
-            )
-            if peak <= usable:
+            drop = knapsack_drop(names, fwd_cost, saved, capacity)
+            plan = CheckpointPlan(ActionAssignment.from_sets(recompute=drop), "checkmate")
+            plan_peak = peak(plan.assignment)
+            if plan_peak <= usable:
                 return plan
-            capacity -= peak - usable
+            capacity -= plan_peak - usable
         return all_plan
-
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        if self._plan is None:
-            raise RuntimeError("setup() must run before plan()")
-        return PlanDecision(self._plan, planning_time=1e-6)

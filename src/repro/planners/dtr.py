@@ -30,6 +30,7 @@ from typing import Mapping, Optional
 
 from repro.models.base import BatchInput
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     EvictableGroup,
     ExecutionMode,
@@ -78,7 +79,7 @@ class DTRPlanner(Planner):
     def plan(self, batch: BatchInput) -> PlanDecision:
         # DTR never plans ahead; it reacts during execution.
         return PlanDecision(
-            CheckpointPlan(frozenset(), "dtr-reactive"),
+            CheckpointPlan(ActionAssignment(), "dtr-reactive"),
             mode=ExecutionMode.REACTIVE,
         )
 

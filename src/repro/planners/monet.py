@@ -18,14 +18,10 @@ this reproduction:
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from repro.models.base import BatchInput
-from repro.planners.base import (
-    CheckpointPlan,
-    ModelView,
-    PlanDecision,
-    PlannerCapabilities,
-)
+from repro.planners.base import CheckpointPlan, ModelView, PlannerCapabilities
 from repro.planners.checkmate import CheckmatePlanner
 
 
@@ -52,6 +48,12 @@ class MonetPlanner(CheckmatePlanner):
         solve_time_s: float = 8 * 3600.0,
         enforce_budget: bool = False,
     ) -> None:
+        super().__init__(
+            budget_bytes,
+            assumed_batch,
+            solve_time_s=solve_time_s,
+            enforce_budget=enforce_budget,
+        )
         # The operator-implementation freedom effectively loosens the
         # memory constraint slightly relative to a pure-checkpointing
         # solve.  Under hard budget enforcement the executor cannot model
@@ -61,23 +63,8 @@ class MonetPlanner(CheckmatePlanner):
             self._effective_budget = budget_bytes
         else:
             self._effective_budget = int(budget_bytes * (1 + self.OPERATOR_HEADROOM))
-        super().__init__(
-            budget_bytes,
-            assumed_batch,
-            solve_time_s=solve_time_s,
-            enforce_budget=enforce_budget,
-        )
 
     def _solve(self, view: ModelView) -> CheckpointPlan:
         # Solve against the slightly loosened budget, then relabel.
-        original = self.budget_bytes
-        try:
-            self.budget_bytes = self._effective_budget
-            plan = super()._solve(view)
-        finally:
-            self.budget_bytes = original
-        return CheckpointPlan(plan.checkpoint_units, "monet")
-
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        decision = super().plan(batch)
-        return PlanDecision(decision.plan, planning_time=1e-6)
+        plan = self._solve_within(view, self._effective_budget)
+        return replace(plan, label="monet")

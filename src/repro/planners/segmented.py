@@ -21,18 +21,18 @@ planner can satisfy.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.models.base import BatchInput
-from repro.planners.analysis import predict_peak_bytes
+from repro.planners.analysis import peak_model
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ModelView,
-    PlanDecision,
-    Planner,
     PlannerCapabilities,
+    StaticPlanner,
 )
-from repro.planners.sublinear import SublinearPlanner, evenly_spaced_keep
+from repro.planners.sublinear import even_keep_drop, recompute_fits
 
 
 def checkpointable_runs(view: ModelView) -> list[list[str]]:
@@ -83,9 +83,8 @@ def balanced_segments(
 
 def segment_plan(view: ModelView, k: int, label: str = "segmented") -> CheckpointPlan:
     """A plan with every checkpointable unit in one of ~k segments."""
-    return CheckpointPlan(
-        frozenset(), label, frozenset(), balanced_segments(checkpointable_runs(view), k)
-    )
+    segments = balanced_segments(checkpointable_runs(view), k)
+    return CheckpointPlan(ActionAssignment(segments=segments), label)
 
 
 def minimum_memory_plan(
@@ -96,26 +95,24 @@ def minimum_memory_plan(
     Returns ``(plan, predicted_peak_bytes)`` after scanning every segment
     count from 1 to the number of checkpointable units.
     """
-    profiles = view.profiles(batch)
-    n = len(view.checkpointable)
+    return _minimum_memory_plan(view, peak_model(view, batch))
+
+
+def _minimum_memory_plan(
+    view: ModelView, peak: Callable[[ActionAssignment], int]
+) -> tuple[CheckpointPlan, int]:
     best_plan: Optional[CheckpointPlan] = None
     best_peak = 0
-    for k in range(1, max(n, 1) + 1):
+    for k in range(1, max(len(view.checkpointable), 1) + 1):
         plan = segment_plan(view, k, f"segmented-k{k}")
-        peak = predict_peak_bytes(
-            profiles,
-            plan,
-            static_bytes=view.static_memory.total,
-            input_nbytes=batch.nbytes,
-            checkpointable=view.checkpointable,
-        )
-        if best_plan is None or peak < best_peak:
-            best_plan, best_peak = plan, peak
+        plan_peak = peak(plan.assignment)
+        if best_plan is None or plan_peak < best_peak:
+            best_plan, best_peak = plan, plan_peak
     assert best_plan is not None
     return best_plan, best_peak
 
 
-class SegmentedSublinearPlanner(Planner):
+class SegmentedSublinearPlanner(StaticPlanner):
     """Static planner with the segment-level fallback.
 
     Args:
@@ -130,51 +127,29 @@ class SegmentedSublinearPlanner(Planner):
         search_space="segments",
         search_algorithm="greedy",
     )
-    FRAG_RESERVE = SublinearPlanner.FRAG_RESERVE
 
     def __init__(self, budget_bytes: int, worst_case_batch: BatchInput) -> None:
-        super().__init__(budget_bytes)
-        self.worst_case_batch = worst_case_batch
-        self._plan: Optional[CheckpointPlan] = None
-
-    def setup(self, view: ModelView) -> None:
-        super().setup(view)
-        self._plan = self._solve(view)
-
-    def _peak(self, view: ModelView, plan: CheckpointPlan) -> int:
-        return predict_peak_bytes(
-            view.profiles(self.worst_case_batch),
-            plan,
-            static_bytes=view.static_memory.total,
-            input_nbytes=self.worst_case_batch.nbytes,
-            checkpointable=view.checkpointable,
-        )
+        super().__init__(budget_bytes, worst_case_batch)
 
     def _solve(self, view: ModelView) -> CheckpointPlan:
         usable = self.budget_bytes - self.FRAG_RESERVE
         names = [n for n in view.unit_names if n in view.checkpointable]
+        peak = peak_model(view, self.assumed_batch)
         # 1) per-unit plans, keeping as much as possible (cheapest backward)
-        for keep in range(len(names), -1, -1):
-            kept = evenly_spaced_keep(names, keep)
-            plan = CheckpointPlan(frozenset(names) - kept, "sublinear-seg")
-            if self._peak(view, plan) <= usable:
-                return plan
+        drop = even_keep_drop(names, recompute_fits(peak, usable))
+        if drop is not None:
+            return CheckpointPlan(
+                ActionAssignment.from_sets(recompute=drop), "sublinear-seg"
+            )
         # 2) segment fallback: the coarsest segmentation that fits (fewer
         # retained boundaries; finer would fit too but k is scanned from
         # sqrt-ish outward for the smallest backward working set)
         n = len(names)
         candidates = sorted(range(1, n + 1), key=lambda k: abs(k - int(n**0.5)))
-        fitting = [
-            k for k in candidates
-            if self._peak(view, segment_plan(view, k)) <= usable
-        ]
-        if fitting:
-            return segment_plan(view, fitting[0], "sublinear-seg")
+        for k in candidates:
+            plan = segment_plan(view, k, "sublinear-seg")
+            if peak(plan.assignment) <= usable:
+                return plan
         # 3) nothing fits: the minimum-memory segmentation (may still OOM)
-        plan, _ = minimum_memory_plan(view, self.worst_case_batch)
+        plan, _ = _minimum_memory_plan(view, peak)
         return plan
-
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        if self._plan is None:
-            raise RuntimeError("setup() must run before plan()")
-        return PlanDecision(self._plan, planning_time=1e-6)

@@ -14,20 +14,20 @@ units whose predicted worst-case peak fits the budget.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from repro.models.base import BatchInput
-from repro.planners.analysis import predict_peak_bytes
+from repro.planners.analysis import peak_model
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ModelView,
-    PlanDecision,
-    Planner,
     PlannerCapabilities,
+    StaticPlanner,
 )
 
 
-def evenly_spaced_keep(names: list[str], keep: int) -> frozenset[str]:
+def evenly_spaced_keep(names: Sequence[str], keep: int) -> frozenset[str]:
     """The ``keep`` names to preserve, spread evenly across the chain."""
     n = len(names)
     if keep <= 0:
@@ -39,7 +39,33 @@ def evenly_spaced_keep(names: list[str], keep: int) -> frozenset[str]:
     return frozenset(kept)
 
 
-class SublinearPlanner(Planner):
+def even_keep_drop(
+    names: Sequence[str], fits: Callable[[frozenset[str]], bool]
+) -> Optional[frozenset[str]]:
+    """The drop set of the largest evenly spaced keep that ``fits``.
+
+    Tries keep counts from ``len(names)`` down to 0 and returns the first
+    drop set (the complement of :func:`evenly_spaced_keep`) the caller's
+    feasibility test accepts, or ``None`` when even dropping everything
+    fails it.  The planners test against the exact peak model, the
+    solver adapter against the linear excess.
+    """
+    for keep in range(len(names), -1, -1):
+        drop = frozenset(names) - evenly_spaced_keep(names, keep)
+        if fits(drop):
+            return drop
+    return None
+
+
+def recompute_fits(
+    peak: Callable[[ActionAssignment], int], usable: int
+) -> Callable[[frozenset[str]], bool]:
+    """Feasibility test: recomputing the drop set keeps ``peak`` within
+    ``usable`` bytes."""
+    return lambda drop: peak(ActionAssignment.from_sets(recompute=drop)) <= usable
+
+
+class SublinearPlanner(StaticPlanner):
     """Static √n-style planner targeting the worst-case input.
 
     Args:
@@ -56,47 +82,16 @@ class SublinearPlanner(Planner):
         search_algorithm="greedy",
     )
 
-    #: headroom below the budget for allocator segment-pooling slack
-    FRAG_RESERVE = 256 * 1024**2
-
     def __init__(self, budget_bytes: int, worst_case_batch: BatchInput) -> None:
-        super().__init__(budget_bytes)
-        self.worst_case_batch = worst_case_batch
-        self._plan: Optional[CheckpointPlan] = None
-
-    def setup(self, view: ModelView) -> None:
-        super().setup(view)
-        self._plan = self._solve(view)
+        super().__init__(budget_bytes, worst_case_batch)
 
     def _solve(self, view: ModelView) -> CheckpointPlan:
-        batch = self.worst_case_batch
-        profiles = view.profiles(batch)
         names = [n for n in view.unit_names if n in view.checkpointable]
-        static = view.static_memory.total
-        # Keep as many evenly spaced units as possible while the
-        # worst-case peak stays within budget.
-        best: Optional[frozenset[str]] = None
-        for keep in range(len(names), -1, -1):
-            kept = evenly_spaced_keep(names, keep)
-            drop = frozenset(names) - kept
-            plan = CheckpointPlan(drop, f"sublinear-keep{keep}")
-            peak = predict_peak_bytes(
-                profiles,
-                plan,
-                static_bytes=static,
-                input_nbytes=batch.nbytes,
-                checkpointable=view.checkpointable,
-            )
-            if peak <= self.budget_bytes - self.FRAG_RESERVE:
-                best = drop
-                break
-        if best is None:
+        usable = self.budget_bytes - self.FRAG_RESERVE
+        drop = even_keep_drop(
+            names, recompute_fits(peak_model(view, self.assumed_batch), usable)
+        )
+        if drop is None:
             # even full checkpointing misses the budget; fall back to all
-            best = frozenset(names)
-        return CheckpointPlan(best, "sublinear")
-
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        if self._plan is None:
-            raise RuntimeError("setup() must run before plan()")
-        # Applying a precomputed static plan costs essentially nothing.
-        return PlanDecision(self._plan, planning_time=1e-6)
+            drop = frozenset(names)
+        return CheckpointPlan(ActionAssignment.from_sets(recompute=drop), "sublinear")

@@ -1,21 +1,20 @@
-"""Legacy planner cores adapted to the solver interface.
+"""The static planners' decision rules adapted to the solver interface.
 
 The static planners in :mod:`repro.planners` decide offline against a
-profiled worst-case/assumed shape, but their decision *cores* — the
-evenly-spaced keep rule of :mod:`repro.planners.sublinear` and the
+profiled worst-case/assumed shape, but their decision rules — the
+evenly spaced keep search of :mod:`repro.planners.sublinear` and the
 keep-knapsack of :mod:`repro.planners.checkmate` — are pure functions of
-per-unit bytes and times.  Re-housing those cores behind the solver
-registry does two things: the legacy planners stop being a second,
-parallel decision layer (they share one vocabulary with the runtime
-schedulers), and the optimality harness can price them per input size
-like any other solver, which is how Table I's gap column covers the
-static families.
+per-unit bytes and times plus a feasibility test.  The adapters call
+the same rule implementations as the planners, testing feasibility
+against the linear excess instead of the exact peak model, so the
+optimality harness can price the static families per input size like
+any other solver (Table I's gap column).
 """
 
 from __future__ import annotations
 
-from repro.planners.checkmate import solve_keep_knapsack
-from repro.planners.sublinear import evenly_spaced_keep
+from repro.planners.checkmate import knapsack_drop
+from repro.planners.sublinear import even_keep_drop
 from repro.solvers.base import Solver, SolverInput, register_solver
 
 
@@ -39,12 +38,10 @@ class SublinearSolver(Solver):
             return frozenset()
         names = _ordered(inp)
         need = min(inp.excess_bytes, sum(inp.est_bytes.values()))
-        for keep in range(len(names), -1, -1):
-            kept = evenly_spaced_keep(names, keep)
-            drop = frozenset(names) - kept
-            if sum(inp.est_bytes[u] for u in drop) >= need:
-                return drop
-        return frozenset(names)
+        drop = even_keep_drop(
+            names, lambda d: sum(inp.est_bytes[u] for u in d) >= need
+        )
+        return frozenset(names) if drop is None else drop
 
 
 @register_solver
@@ -56,8 +53,8 @@ class CheckmateSolver(Solver):
     recompute time *avoided* by keeping units, subject to the kept bytes
     fitting what the budget leaves after the excess is released.  The
     knapsack quantises kept weights upward
-    (:func:`~repro.planners.checkmate.solve_keep_knapsack`), so the
-    complement always releases at least the excess.
+    (:func:`~repro.planners.checkmate.knapsack_drop`), so the complement
+    always releases at least the excess.
     """
 
     name = "checkmate"
@@ -67,16 +64,12 @@ class CheckmateSolver(Solver):
             return frozenset()
         names = _ordered(inp)
         total = sum(inp.est_bytes.values())
-        need = min(inp.excess_bytes, total)
-        capacity = total - need
-        if capacity <= 0:
-            return frozenset(names)
+        # capacity <= 0 keeps nothing: the knapsack drops every unit
+        capacity = total - min(inp.excess_bytes, total)
         values = [
             inp.est_time[u] if inp.est_time else float(inp.order[u] + 1)
             for u in names
         ]
-        kept_idx = solve_keep_knapsack(
-            values, [inp.est_bytes[u] for u in names], capacity
+        return knapsack_drop(
+            names, values, [inp.est_bytes[u] for u in names], capacity
         )
-        kept = {names[i] for i in kept_idx}
-        return frozenset(n for n in names if n not in kept)

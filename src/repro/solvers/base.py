@@ -53,11 +53,6 @@ class SolverInput:
     bwd_time: Mapping[str, float] | None = None
 
 
-#: Historical name, kept for the pre-refactor scheduler vocabulary
-#: (``repro.core.scheduler`` re-exports it).
-SchedulerInput = SolverInput
-
-
 class CostModel(Protocol):
     """Prices each :class:`~repro.planners.base.MemoryAction` per unit.
 
@@ -117,7 +112,7 @@ class PcieCostModel:
             backwards were never measured.  An explicit float *forces*
             ratio pricing even when measured backwards are available —
             the ``--bwd-ratio`` CLI override, useful for A/B-ing the
-            constant against measured pricing.
+            constant against measured pricing.  Must be positive.
         envelope_fraction: fraction of total forward time available to
             the copy engine.
     """
@@ -134,6 +129,8 @@ class PcieCostModel:
         bwd_ratio: Optional[float] = None,
         envelope_fraction: float = 0.8,
     ) -> None:
+        if bwd_ratio is not None and bwd_ratio <= 0:
+            raise ValueError(f"bwd_ratio must be positive, got {bwd_ratio}")
         self.device = device if device is not None else DeviceModel()
         self.pcie_bandwidth = pcie_bandwidth
         self.bwd_ratio = bwd_ratio
@@ -239,10 +236,6 @@ class Solver:
         """
         del device, pcie_bandwidth, bwd_ratio
         return cls()
-
-
-#: Historical alias: the pre-refactor name for the solver interface.
-Scheduler = Solver
 
 
 _SOLVERS: dict[str, type[Solver]] = {}

@@ -3,12 +3,12 @@
 "Training Deep Nets with Sublinear Memory Cost" keeps a checkpoint at
 every segment boundary and recomputes the segment interiors; boundaries
 must be articulation points of the dataflow graph (a vertex every path
-crosses), found here with :func:`repro.graph.articulation_points` over
-the chain induced by the input's forward order.  Both schemes are
-*memory-targeted* rather than cost-minimising, which is exactly why they
-belong in the optimality harness: their measured gap against
-:class:`~repro.solvers.exact.ExactSolver` quantifies what input-aware
-pricing buys (Table I's gap column).
+crosses).  The simulator's models are chains in the input's forward
+order, whose articulation points are every unit but the two ends.  Both
+schemes are *memory-targeted* rather than cost-minimising, which is
+exactly why they belong in the optimality harness: their measured gap
+against :class:`~repro.solvers.exact.ExactSolver` quantifies what
+input-aware pricing buys (Table I's gap column).
 
 * ``chen-sqrtn`` keeps ~√n evenly spaced articulation points, shrinking
   the kept set only when the released bytes fall short of the excess.
@@ -25,24 +25,12 @@ from __future__ import annotations
 
 import math
 
-from repro.graph.articulation import articulation_points
-from repro.planners.base import ActionAssignment
 from repro.solvers.base import Solver, SolverInput, register_solver
 
 
 def _chain(inp: SolverInput) -> list[str]:
     """Units in forward order — the simulator's dataflow chain."""
     return sorted(inp.est_bytes, key=lambda u: (inp.order[u], u))
-
-
-def _chain_articulation(chain: list[str]) -> frozenset[str]:
-    adjacency = {
-        u: [w for w in (chain[i - 1] if i else None,
-                        chain[i + 1] if i + 1 < len(chain) else None)
-            if w is not None]
-        for i, u in enumerate(chain)
-    }
-    return articulation_points(adjacency)
 
 
 def _dropped_bytes(chain: list[str], keep: set[str], inp: SolverInput) -> int:
@@ -65,8 +53,7 @@ class ChenSqrtNSolver(Solver):
         if inp.excess_bytes <= 0:
             return frozenset()
         chain = _chain(inp)
-        aps = _chain_articulation(chain)
-        boundaries = [u for u in chain if u in aps]
+        boundaries = chain[1:-1]  # the chain's articulation points
         total = sum(inp.est_bytes.values())
         need = min(inp.excess_bytes, total)
         k = math.isqrt(len(chain))
@@ -95,7 +82,7 @@ class ChenGreedySolver(Solver):
         if inp.excess_bytes <= 0:
             return frozenset()
         chain = _chain(inp)
-        boundaries = _chain_articulation(chain)
+        boundaries = frozenset(chain[1:-1])  # the chain's articulation points
         total = sum(inp.est_bytes.values())
         need = min(inp.excess_bytes, total)
         # Candidate budgets: total/k for every segment count k, plus the

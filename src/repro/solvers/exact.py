@@ -100,7 +100,7 @@ class ExactSolver(Solver):
 
     def assign(self, inp: SolverInput) -> ActionAssignment:
         if inp.excess_bytes <= 0:
-            return ActionAssignment.empty()
+            return ActionAssignment()
         model = self.cost_model
         # Zero-byte units release nothing: any action on them only adds
         # cost, so the optimum keeps them and they stay out of the search.
@@ -114,7 +114,7 @@ class ExactSolver(Solver):
                 f"got {len(units)}"
             )
         if not units:
-            return ActionAssignment.empty()
+            return ActionAssignment()
         n = len(units)
         nbytes = [inp.est_bytes[u] for u in units]
         rcost = [model.recompute_cost(u, inp) for u in units]

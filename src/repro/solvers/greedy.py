@@ -218,7 +218,7 @@ class HybridGreedyScheduler(Solver):
 
     def assign(self, inp: SolverInput) -> ActionAssignment:
         if inp.excess_bytes <= 0:
-            return ActionAssignment.empty()
+            return ActionAssignment()
         model = self.cost_model
         # One O(n) envelope + window per call, not per unit: the per-unit
         # swap price is max(0, transfer - window), float-identical to

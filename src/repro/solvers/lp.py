@@ -144,12 +144,12 @@ class LpRoundingSolver(Solver):
 
     def assign(self, inp: SolverInput) -> ActionAssignment:
         if inp.excess_bytes <= 0:
-            return ActionAssignment.empty()
+            return ActionAssignment()
         model = self.cost_model
         window = model.overlap_window(inp)
         units = [(u, b) for u, b in inp.est_bytes.items() if b > 0]
         if not units:
-            return ActionAssignment.empty()
+            return ActionAssignment()
         need = min(inp.excess_bytes, sum(b for _, b in units))
         # Relaxation optimum: walk ascending cost-per-byte; every unit
         # before the waterline gets x=1, the waterline unit the fractional

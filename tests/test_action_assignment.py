@@ -2,14 +2,15 @@
 
 Covers the refactor contract from three sides:
 
-* **round-trip** (property-based) — the legacy set vocabulary
-  (``checkpoint_units``/``swap_units``/``segments``) and the canonical
-  :class:`ActionAssignment` describe the same plan, whichever one a
-  plan is built from;
+* **round-trip** (property-based) — the set vocabulary
+  (``checkpoint_units``/``swap_units``/``segments``, built with
+  :meth:`ActionAssignment.from_sets`) and the canonical action pairs
+  describe the same plan, whichever one a plan is built from;
 * **planner parity** — every registered planner's emitted plans
   reconstruct bit-equal from their own derived sets;
-* **CLI** — ``repro run --scheduler hybrid`` produces a mixed-action,
-  budget-respecting run, and the flag is rejected off Mimose.
+* **CLI** — ``repro run --solver hybrid`` produces a mixed-action,
+  budget-respecting run, and bad run options are rejected before any
+  simulation.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.__main__ as cli
 from repro.__main__ import main as repro_main
-from repro.experiments.runner import (
-    PLANNER_NAMES,
-    SCHEDULER_NAMES,
-    make_scheduler,
-    run_task,
-)
+from repro.experiments.runner import PLANNER_NAMES, SOLVER_NAMES, run_task
 from repro.experiments.tasks import GB, load_task
 from repro.planners.base import (
     ActionAssignment,
@@ -33,6 +30,7 @@ from repro.planners.base import (
     ModelView,
 )
 from repro.planners.segmented import segment_plan
+from repro.solvers import PcieCostModel, make_solver
 
 from tests.helpers import make_tiny_model
 
@@ -65,25 +63,33 @@ def legacy_plan_parts(draw):
 @given(parts=legacy_plan_parts())
 def test_property_legacy_sets_round_trip_through_assignment(parts):
     drop, swap, segments = parts
-    legacy = CheckpointPlan(drop, "prop", swap, segments)
-    # the derived views reproduce the constructor inputs
-    assert legacy.checkpoint_units == drop
-    assert legacy.swap_units == swap
-    assert legacy.segments == segments
-    # rebuilding from the canonical assignment is the identical plan
-    rebuilt = CheckpointPlan.from_assignment(legacy.assignment, "prop")
-    assert rebuilt == legacy
-    assert hash(rebuilt) == hash(legacy)
-    # ... and so is rebuilding from the derived sets
-    resets = CheckpointPlan(
-        rebuilt.checkpoint_units, "prop", rebuilt.swap_units, rebuilt.segments
+    plan = CheckpointPlan(
+        ActionAssignment.from_sets(recompute=drop, swap=swap, segments=segments),
+        "prop",
     )
-    assert resets.assignment == legacy.assignment
+    assignment = plan.assignment
+    # the derived views reproduce the constructor inputs
+    assert assignment.checkpoint_units == drop
+    assert assignment.swap_units == swap
+    assert assignment.segments == segments
+    # rebuilding from the canonical action pairs is the identical plan
+    rebuilt = CheckpointPlan(
+        ActionAssignment(assignment.actions, assignment.segments), "prop"
+    )
+    assert rebuilt == plan
+    assert hash(rebuilt) == hash(plan)
+    # ... and so is rebuilding from the derived sets
+    resets = ActionAssignment.from_sets(
+        recompute=rebuilt.assignment.checkpoint_units,
+        swap=rebuilt.assignment.swap_units,
+        segments=rebuilt.assignment.segments,
+    )
+    assert resets == assignment
     # per-unit dispatch agrees with the set vocabulary everywhere
     seg_units = {u for seg in segments for u in seg}
     for i in range(10):
         name = f"unit.{i}"
-        action = legacy.action_for(name)
+        action = assignment.action_for(name)
         if name in drop:
             assert action is MemoryAction.RECOMPUTE
         elif name in swap:
@@ -142,10 +148,12 @@ def test_planner_plans_reconstruct_from_derived_sets(planner_name):
     assert captured
     for plan in captured:
         rebuilt = CheckpointPlan(
-            plan.checkpoint_units,
+            ActionAssignment.from_sets(
+                recompute=plan.assignment.checkpoint_units,
+                swap=plan.assignment.swap_units,
+                segments=plan.assignment.segments,
+            ),
             plan.label,
-            plan.swap_units,
-            plan.segments,
             plan.predicted_peak_bytes,
         )
         assert rebuilt == plan
@@ -155,13 +163,14 @@ def test_planner_plans_reconstruct_from_derived_sets(planner_name):
 def test_segment_plan_round_trips_and_dispatches():
     view = ModelView(make_tiny_model(num_units=6))
     plan = segment_plan(view, 3)
-    assert plan.segments
-    for seg in plan.segments:
+    segments = plan.assignment.segments
+    assert segments
+    for seg in segments:
         for unit in seg:
-            assert plan.action_for(unit) is MemoryAction.SEGMENT
-    rebuilt = CheckpointPlan.from_assignment(plan.assignment, plan.label)
+            assert plan.assignment.action_for(unit) is MemoryAction.SEGMENT
+    rebuilt = CheckpointPlan(ActionAssignment(segments=segments), plan.label)
     assert rebuilt == plan
-    assert rebuilt.segments == plan.segments
+    assert rebuilt.assignment.segments == segments
 
 
 # -------------------------------------------------------------- hybrid CLI
@@ -171,7 +180,7 @@ def test_cli_run_scheduler_hybrid_mixes_actions(capsys):
     code = repro_main(
         [
             "run", "--task", "TC-Bert", "--planner", "mimose",
-            "--scheduler", "hybrid", "--budget-gb", "2.5",
+            "--solver", "hybrid", "--budget-gb", "2.5",
             "--iterations", "30",
         ]
     )
@@ -181,7 +190,7 @@ def test_cli_run_scheduler_hybrid_mixes_actions(capsys):
     # both non-KEEP actions and honour the budget
     task = load_task("TC-Bert", iterations=30, seed=0)
     result = run_task(
-        task, "mimose", int(2.5 * GB), max_iterations=30, scheduler="hybrid"
+        task, "mimose", int(2.5 * GB), max_iterations=30, solver="hybrid"
     )
     assert result.succeeded
     assert result.peak_reserved <= int(2.5 * GB)
@@ -196,7 +205,7 @@ def test_cli_run_scheduler_hybrid_mixes_actions(capsys):
 def test_cli_run_reports_measured_pricing_and_ratio_override(capsys):
     base = [
         "run", "--task", "TC-Bert", "--planner", "mimose",
-        "--scheduler", "hybrid", "--budget-gb", "2.5",
+        "--solver", "hybrid", "--budget-gb", "2.5",
         "--iterations", "30",
     ]
     assert repro_main(base) == 0
@@ -211,7 +220,7 @@ def test_hybrid_pricing_modes_both_run_on_grid_model():
     same grid point never swaps."""
     task = load_task("TC-Bert", iterations=30, seed=0)
     measured = run_task(
-        task, "mimose", int(2.5 * GB), max_iterations=30, scheduler="hybrid"
+        task, "mimose", int(2.5 * GB), max_iterations=30, solver="hybrid"
     )
     task = load_task("TC-Bert", iterations=30, seed=0)
     ratio = run_task(
@@ -219,7 +228,7 @@ def test_hybrid_pricing_modes_both_run_on_grid_model():
         "mimose",
         int(2.5 * GB),
         max_iterations=30,
-        scheduler="hybrid",
+        solver="hybrid",
         bwd_ratio=2.0,
     )
     task = load_task("TC-Bert", iterations=30, seed=0)
@@ -256,22 +265,55 @@ def test_cli_rejects_scheduler_for_non_mimose_planner():
         repro_main(
             [
                 "run", "--task", "TC-Bert", "--planner", "capuchin",
-                "--scheduler", "hybrid", "--budget-gb", "4",
+                "--solver", "hybrid", "--budget-gb", "4",
                 "--iterations", "5",
             ]
         )
 
 
-def test_make_scheduler_names():
-    for name in SCHEDULER_NAMES:
-        assert make_scheduler(name).name == name
+def test_make_solver_names():
+    for name in SOLVER_NAMES:
+        assert make_solver(name).name == name
     with pytest.raises(KeyError):
-        make_scheduler("simulated-annealing")
+        make_solver("simulated-annealing")
     with pytest.raises(ValueError, match="mimose"):
         run_task(
             load_task("TC-Bert", iterations=2, seed=0),
             "capuchin",
             int(4 * GB),
             max_iterations=2,
-            scheduler="hybrid",
+            solver="hybrid",
         )
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0])
+def test_non_positive_bwd_ratio_is_rejected(ratio):
+    with pytest.raises(ValueError, match="positive"):
+        PcieCostModel(bwd_ratio=ratio)
+    with pytest.raises(ValueError, match="positive"):
+        run_task(
+            load_task("TC-Bert", iterations=2, seed=0),
+            "mimose",
+            int(2.5 * GB),
+            max_iterations=2,
+            solver="hybrid",
+            bwd_ratio=ratio,
+        )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--solver", "hybrid", "--bwd-ratio", "0"], "error: bwd_ratio must be positive"),
+        (["--bwd-ratio", "2.0"], "error: --bwd-ratio applies"),
+        (["--planner", "dtr", "--solver", "knapsack"], "error: --solver applies"),
+        (["--planner", "dtr", "--static-fit"], "error: drift_detection/static_fit"),
+    ],
+)
+def test_cli_rejects_bad_options_before_any_run(monkeypatch, flags, message):
+    def no_run(*args, **kwargs):
+        pytest.fail("a run started before the options were checked")
+
+    monkeypatch.setattr(cli, "run_task", no_run)
+    with pytest.raises(SystemExit, match=message):
+        repro_main(["run", "--task", "TC-Bert", "--budget-gb", "2.5", *flags])

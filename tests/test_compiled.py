@@ -107,7 +107,7 @@ def test_certified_iteration_is_simulated_once(monkeypatch):
 # ------------------------------------------------- property: stats equality
 
 
-_PLANNER_SCHEDULERS = [
+_PLANNER_SOLVERS = [
     ("baseline", None), ("sublinear", None), ("checkmate", None),
     ("monet", None), ("dtr", None), ("capuchin", None),
     ("mimose", None), ("mimose", "hybrid"),
@@ -116,17 +116,17 @@ _PLANNER_SCHEDULERS = [
 
 @settings(max_examples=10, deadline=None)
 @given(
-    combo=st.sampled_from(_PLANNER_SCHEDULERS),
+    combo=st.sampled_from(_PLANNER_SOLVERS),
     seed=st.integers(min_value=0, max_value=50),
 )
 def test_compiled_stats_equal_simulated_property(combo, seed):
     """Per-iteration stats match full simulation for every planner and
-    scheduler at whatever (unseen) sizes the drawn seed's loader emits.
+    solver at whatever (unseen) sizes the drawn seed's loader emits.
     """
-    planner, scheduler = combo
+    planner, solver = combo
     task = load_task("TC-Bert", iterations=30, seed=seed)
     budget = 4 * GB
-    kwargs = dict(max_iterations=30, scheduler=scheduler)
+    kwargs = dict(max_iterations=30, solver=solver)
     with_compiled = run_task(task, planner, budget, compiled=True, **kwargs)
     without = run_task(task, planner, budget, compiled=False, **kwargs)
     assert len(with_compiled.iterations) == len(without.iterations)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.planner import MimosePlanner
-from repro.core.scheduler import KnapsackScheduler
+from repro.solvers import KnapsackScheduler
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
 from repro.planners.base import ModelView

@@ -6,6 +6,7 @@ from repro.engine.executor import IterationOOM, TrainingExecutor
 from repro.engine.trace import MemoryTimeline
 from repro.models.base import BatchInput
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ExecutionMode,
     ModelView,
@@ -72,7 +73,7 @@ def test_checkpointing_reduces_peak_and_adds_recompute():
     ex = make_executor(model)
     full = ex.run_iteration(batch(512, 256), PlanDecision(CheckpointPlan.none()))
     ckpt = ex.run_iteration(
-        batch(512, 256), PlanDecision(CheckpointPlan.of(names, "all"))
+        batch(512, 256), PlanDecision(CheckpointPlan(ActionAssignment.from_sets(recompute=names), "all"))
     )
     assert ckpt.peak_in_use < full.peak_in_use
     assert ckpt.recompute_time > 0
@@ -87,7 +88,9 @@ def test_more_checkpointing_is_monotone_in_recompute_time():
     times = []
     for k in (0, 4, 8):
         s = ex.run_iteration(
-            batch(256, 128), PlanDecision(CheckpointPlan.of(names[:k], f"k{k}"))
+            batch(256, 128), PlanDecision(
+                CheckpointPlan(ActionAssignment.from_sets(recompute=names[:k]), f"k{k}")
+            )
         )
         times.append(s.recompute_time)
     assert times[0] == 0
@@ -167,7 +170,11 @@ def test_plan_entries_for_non_checkpointable_units_ignored(bert_model):
 
     b = BatchInput((8, 64), INT64)
     s = ex.run_iteration(
-        b, PlanDecision(CheckpointPlan.of(["embeddings", "head"], "bad"))
+        b, PlanDecision(
+            CheckpointPlan(
+                ActionAssignment.from_sets(recompute=["embeddings", "head"]), "bad"
+            )
+        )
     )
     assert s.num_checkpointed == 0
     assert s.recompute_time == 0

@@ -40,7 +40,12 @@ from repro.engine.strategies import (
 )
 from repro.experiments.runner import run_task, sweep
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import CheckpointPlan, ExecutionMode, PlanDecision
+from repro.planners.base import (
+    ActionAssignment,
+    CheckpointPlan,
+    ExecutionMode,
+    PlanDecision,
+)
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.faults import FaultPlan
 
@@ -212,7 +217,7 @@ def test_dispatch_cache_invalidated_by_subscribe():
 
 
 def _decision(mode):
-    return PlanDecision(CheckpointPlan(frozenset(), "t"), mode=mode)
+    return PlanDecision(CheckpointPlan(ActionAssignment(), "t"), mode=mode)
 
 
 @pytest.mark.parametrize(

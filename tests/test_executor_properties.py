@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
-from repro.planners.base import CheckpointPlan, ModelView, PlanDecision
+from repro.planners.base import (
+    ActionAssignment,
+    CheckpointPlan,
+    ModelView,
+    PlanDecision,
+)
 from repro.planners.base import ExecutionMode
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
@@ -25,7 +30,8 @@ def plans_and_batches(draw):
     swap = frozenset(n for i, n in enumerate(names) if swap_mask & (1 << i))
     rows = draw(st.integers(1, 512))
     mode = draw(st.sampled_from([ExecutionMode.NORMAL, ExecutionMode.COLLECT]))
-    return num_units, CheckpointPlan(drop, "prop", swap), rows, mode
+    plan = CheckpointPlan(ActionAssignment.from_sets(recompute=drop, swap=swap), "prop")
+    return num_units, plan, rows, mode
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,7 +65,9 @@ def test_property_no_leaks_across_varying_batches(sizes, drop_all):
     planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=8 * GB)
     names = [u.name for u in model.units]
-    plan = CheckpointPlan.of(names if drop_all else [], "p")
+    plan = CheckpointPlan(
+        ActionAssignment.from_sets(recompute=names if drop_all else []), "p"
+    )
     for rows in sizes:
         stats = ex.run_iteration(
             BatchInput((rows, 128), FLOAT32), PlanDecision(plan)
@@ -85,7 +93,7 @@ def test_property_time_components_are_consistent(case):
     assert abs((ex.clock.now - t0) - stats.total_time) < 1e-12
     assert stats.total_time > 0
     assert stats.fwd_time > 0 and stats.bwd_time > 0
-    if mode is ExecutionMode.NORMAL and len(plan) == 0:
+    if mode is ExecutionMode.NORMAL and not plan.assignment.checkpoint_units:
         assert stats.recompute_time == 0
 
 

@@ -16,7 +16,12 @@ from repro.planners.analysis import (
     unit_saved_bytes,
     unit_transient_bytes,
 )
-from repro.planners.base import CheckpointPlan, ModelView, PlanDecision
+from repro.planners.base import (
+    ActionAssignment,
+    CheckpointPlan,
+    ModelView,
+    PlanDecision,
+)
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32, INT64
 
@@ -24,6 +29,10 @@ from tests.helpers import GB, make_tiny_model
 
 #: max divergence allowed: allocator alignment rounding only
 ALIGNMENT_SLACK = 64 * 1024
+
+
+def drop_plan(names, label):
+    return CheckpointPlan(ActionAssignment.from_sets(recompute=names), label)
 
 
 def executed_peak(model, batch, plan, capacity=64 * GB):
@@ -40,7 +49,7 @@ def predicted_peak(model, batch, plan):
     view = ModelView(model)
     return predict_peak_bytes(
         view.profiles(batch),
-        plan,
+        plan.assignment,
         static_bytes=view.static_memory.total,
         input_nbytes=batch.nbytes,
         checkpointable=view.checkpointable,
@@ -60,7 +69,7 @@ def test_full_checkpoint_prediction_matches_executor_tiny():
     model = make_tiny_model(num_units=5, features=256)
     names = [u.name for u in model.units]
     b = BatchInput((128, 256), FLOAT32)
-    plan = CheckpointPlan.of(names, "all")
+    plan = drop_plan(names, "all")
     assert abs(
         predicted_peak(model, b, plan) - executed_peak(model, b, plan)
     ) <= ALIGNMENT_SLACK
@@ -72,7 +81,7 @@ def test_random_plans_match_executor_on_bert(bert_model, seed):
     view = ModelView(bert_model)
     names = sorted(view.checkpointable)
     drop = frozenset(rng.sample(names, rng.randint(0, len(names))))
-    plan = CheckpointPlan(drop, "rnd")
+    plan = drop_plan(drop, "rnd")
     b = BatchInput((16, 128), INT64)
     pred = predicted_peak(bert_model, b, plan)
     real = executed_peak(bert_model, b, plan)
@@ -95,7 +104,7 @@ def test_bounds_bracket_every_plan(bert_model):
     for _ in range(5):
         drop = frozenset(rng.sample(names, rng.randint(0, len(names))))
         peak = predict_peak_bytes(
-            profiles, CheckpointPlan(drop, "x"),
+            profiles, ActionAssignment.from_sets(recompute=drop),
             static_bytes=static, input_nbytes=b.nbytes,
             checkpointable=view.checkpointable,
         )
@@ -112,12 +121,12 @@ def test_checkpointing_last_unit_barely_helps(bert_model):
     profiles = view.profiles(b)
     static = view.static_memory.total
     first = predict_peak_bytes(
-        profiles, CheckpointPlan.of(["encoder.0"], "f"),
+        profiles, ActionAssignment.from_sets(recompute=["encoder.0"]),
         static_bytes=static, input_nbytes=b.nbytes,
         checkpointable=view.checkpointable,
     )
     last = predict_peak_bytes(
-        profiles, CheckpointPlan.of(["encoder.11"], "l"),
+        profiles, ActionAssignment.from_sets(recompute=["encoder.11"]),
         static_bytes=static, input_nbytes=b.nbytes,
         checkpointable=view.checkpointable,
     )
@@ -140,7 +149,7 @@ def test_more_checkpointing_never_increases_forward_peak():
     names = [u.name for u in model.units]
     b = BatchInput((256, 512), FLOAT32)
     peaks = [
-        predicted_peak(model, b, CheckpointPlan.of(names[:k], f"k{k}"))
+        predicted_peak(model, b, drop_plan(names[:k], f"k{k}"))
         for k in range(len(names) + 1)
     ]
     for a, c in zip(peaks, peaks[1:]):
@@ -159,7 +168,7 @@ def test_property_predictor_equals_executor_on_tiny_models(
     model = make_tiny_model(num_units=num_units, features=128)
     names = [u.name for u in model.units]
     drop = frozenset(n for i, n in enumerate(names) if drop_mask & (1 << i))
-    plan = CheckpointPlan(drop, "prop")
+    plan = drop_plan(drop, "prop")
     b = BatchInput((rows, 128), FLOAT32)
     assert abs(
         predicted_peak(model, b, plan) - executed_peak(model, b, plan)

@@ -41,7 +41,7 @@ def test_sublinear_plan_is_static_across_inputs(bert_model):
     planner.setup(view)
     d1 = planner.plan(BatchInput((32, 60), INT64))
     d2 = planner.plan(BatchInput((32, 300), INT64))
-    assert d1.plan.checkpoint_units == d2.plan.checkpoint_units
+    assert d1.plan.assignment == d2.plan.assignment
 
 
 def test_sublinear_respects_budget_at_worst_case(bert_model):
@@ -52,7 +52,7 @@ def test_sublinear_respects_budget_at_worst_case(bert_model):
     planner.setup(view)
     peak = predict_peak_bytes(
         view.profiles(w),
-        planner.plan(w).plan,
+        planner.plan(w).plan.assignment,
         static_bytes=view.static_memory.total,
         input_nbytes=w.nbytes,
         checkpointable=view.checkpointable,
@@ -67,7 +67,7 @@ def test_sublinear_keeps_more_with_bigger_budget(bert_model):
     for budget in (3 * GB, 4 * GB, 5 * GB):
         p = SublinearPlanner(budget, worst_case_batch=w)
         p.setup(view)
-        drops.append(len(p.plan(w).plan))
+        drops.append(len(p.plan(w).plan.assignment.checkpoint_units))
     assert drops[0] >= drops[1] >= drops[2]
 
 
@@ -118,7 +118,9 @@ def test_checkmate_beats_or_matches_sublinear_recompute(bert_model):
     profiles = {p.module_name: p for p in view.profiles(w)}
 
     def recompute_flops(plan):
-        return sum(profiles[n].fwd_flops for n in plan.checkpoint_units)
+        return sum(
+            profiles[n].fwd_flops for n in plan.assignment.checkpoint_units
+        )
 
     assert recompute_flops(cm.plan(w).plan) <= recompute_flops(sub.plan(w).plan)
 
@@ -131,7 +133,7 @@ def test_checkmate_respects_budget_at_assumed_shape(bert_model):
     cm.setup(view)
     peak = predict_peak_bytes(
         view.profiles(w),
-        cm.plan(w).plan,
+        cm.plan(w).plan.assignment,
         static_bytes=view.static_memory.total,
         input_nbytes=w.nbytes,
         checkpointable=view.checkpointable,
@@ -150,7 +152,7 @@ def test_checkmate_overshoots_on_larger_than_assumed_inputs(bert_model):
     big = BatchInput((32, 332), INT64)
     peak = predict_peak_bytes(
         view.profiles(big),
-        cm.plan(big).plan,
+        cm.plan(big).plan.assignment,
         static_bytes=view.static_memory.total,
         input_nbytes=big.nbytes,
         checkpointable=view.checkpointable,
@@ -163,7 +165,7 @@ def test_checkmate_tight_budget_falls_back_to_all(bert_model):
     w = worst(32, 300)
     cm = CheckmatePlanner(int(2.6 * GB), assumed_batch=w)
     cm.setup(view)
-    assert len(cm.plan(w).plan) == len(view.checkpointable)
+    assert cm.plan(w).plan.assignment.checkpoint_units == view.checkpointable
 
 
 # ---------------------------------------------------------------------- monet
@@ -177,7 +179,9 @@ def test_monet_budget_slightly_looser_than_checkmate(bert_model):
     mo = MonetPlanner(budget, assumed_batch=w)
     mo.setup(view)
     # joint op selection => MONeT drops at most as much as Checkmate
-    assert len(mo.plan(w).plan) <= len(cm.plan(w).plan)
+    assert len(mo.plan(w).plan.assignment.checkpoint_units) <= len(
+        cm.plan(w).plan.assignment.checkpoint_units
+    )
     assert mo.plan(w).plan.label == "monet"
     assert mo.budget_bytes == budget  # the loosening is internal only
 
@@ -194,7 +198,7 @@ def test_baseline_never_checkpoints(tiny_model):
     p = NoCheckpointPlanner(GB)
     p.setup(view)
     d = p.plan(BatchInput((8, 64), FLOAT32))
-    assert len(d.plan) == 0
+    assert d.plan.assignment.is_empty
     assert p.requires_physical_capacity
 
 

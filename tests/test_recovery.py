@@ -194,7 +194,7 @@ def test_ladder_rung2_checkpoints_everything():
     )
     assert decision is not None
     assert decision.recovery_mode == "full-checkpoint"
-    assert decision.plan.checkpoint_units == frozenset(planner._order)
+    assert decision.plan.assignment.checkpoint_units == frozenset(planner._order)
 
 
 def test_ladder_exhausts_after_rung2():

@@ -228,14 +228,14 @@ def test_guard_dominance_requires_wants_guard_on_hot_events():
 def test_plan_membership_rule_flags_unit_set_probes():
     bad_checkpoint = (
         "def f(plan, unit):\n"
-        "    return unit.name in plan.checkpoint_units\n"
+        "    return unit.name in plan.assignment.checkpoint_units\n"
     )
     assert rule_ids(analyze_sources({"m.py": bad_checkpoint})) == {
         "plan-membership"
     }
     bad_swap = (
         "def f(decision, name):\n"
-        "    if name not in decision.plan.swap_units:\n"
+        "    if name not in decision.plan.assignment.swap_units:\n"
         "        return None\n"
     )
     assert rule_ids(analyze_sources({"m.py": bad_swap})) == {
@@ -247,9 +247,9 @@ def test_plan_membership_rule_allows_action_dispatch_and_set_reads():
     clean = (
         "def f(plan, unit, other):\n"
         "    action = plan.assignment.action_for(unit.name)\n"
-        "    dropped = len(plan.checkpoint_units)\n"
-        "    order = sorted(plan.swap_units)\n"
-        "    both = plan.checkpoint_units | plan.swap_units\n"
+        "    dropped = len(plan.assignment.checkpoint_units)\n"
+        "    order = sorted(plan.assignment.swap_units)\n"
+        "    both = plan.assignment.checkpoint_units | plan.assignment.swap_units\n"
         "    return action, dropped, order, both, unit in other\n"
     )
     assert analyze_sources({"m.py": clean}) == []
@@ -258,7 +258,7 @@ def test_plan_membership_rule_allows_action_dispatch_and_set_reads():
 def test_plan_membership_rule_respects_allow_globs():
     bad = (
         "def f(plan, unit):\n"
-        "    return unit in plan.swap_units\n"
+        "    return unit in plan.assignment.swap_units\n"
     )
     rules = create_rules(
         {"plan-membership": {"allow": ["src/repro/planners/*"]}},

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import articulation_points
 from repro.planners.checkmate import solve_keep_knapsack
 from repro.solvers import (
     ExactSolver,
@@ -202,31 +201,12 @@ def test_keep_knapsack_empty_and_zero_capacity():
     assert solve_keep_knapsack([1.0], [MB], 0) == []
 
 
-# -------------------------------------------------------- articulation points
-
-
-def test_articulation_points_on_a_chain():
-    chain = {"a": ["b"], "b": ["c"], "c": ["d"], "d": []}
-    assert articulation_points(chain) == frozenset({"b", "c"})
-
-
-def test_articulation_points_cycle_has_none():
-    cycle = {"a": ["b"], "b": ["c"], "c": ["a"]}
-    assert articulation_points(cycle) == frozenset()
-
-
-def test_articulation_points_bridge_between_cycles():
-    # two triangles joined at x: x disconnects them
-    g = {
-        "a": ["b", "x"],
-        "b": ["x"],
-        "x": ["c"],
-        "c": ["d"],
-        "d": ["x"],
-    }
-    assert articulation_points(g) == frozenset({"x"})
-
-
-def test_articulation_points_handles_missing_reverse_edges():
-    # directed-style input: reverse entries repaired internally
-    assert articulation_points({"a": ["b"], "b": ["c"]}) == frozenset({"b"})
+@pytest.mark.parametrize("name", ["chen-sqrtn", "chen-greedy"])
+def test_chen_boundaries_are_interior_units(name):
+    """Segment boundaries are the chain's articulation points — every
+    unit but the two ends — so a covering plan always drops both ends."""
+    est = {f"u{i}": 10 * MB for i in range(9)}
+    times = {u: 1e-3 for u in est}
+    assignment = make_solver(name).assign(make_input(est, 10 * MB, times))
+    assert {"u0", "u8"} <= assignment.checkpoint_units
+    assert assignment.checkpoint_units != frozenset(est)

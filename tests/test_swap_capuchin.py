@@ -5,6 +5,7 @@ import pytest
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ModelView,
     PlanDecision,
@@ -18,7 +19,9 @@ from tests.helpers import GB, MB, make_tiny_model
 
 
 def swap_plan(names, swap):
-    return CheckpointPlan(frozenset(names), "hybrid", frozenset(swap))
+    return CheckpointPlan(
+        ActionAssignment.from_sets(recompute=names, swap=swap), "hybrid"
+    )
 
 
 def make_executor(model, device=None, capacity=8 * GB):
@@ -42,7 +45,7 @@ SLOW_LINK = DevicePreset(
 
 def test_plan_rejects_overlapping_sets():
     with pytest.raises(ValueError, match="both dropped and swapped"):
-        CheckpointPlan(frozenset({"a"}), "x", frozenset({"a"}))
+        ActionAssignment.from_sets(recompute={"a"}, swap={"a"})
 
 
 def test_swapped_unit_stalls_when_link_is_slow():
@@ -132,8 +135,8 @@ def test_capuchin_plans_on_first_batch_and_grows():
     assert planner.planned_for_size == big.input_size
     d3 = planner.plan(small)  # smaller input reuses the big plan
     assert d3.plan is d2.plan
-    assert len(d2.plan.checkpoint_units | d2.plan.swap_units) >= len(
-        d1.plan.checkpoint_units | d1.plan.swap_units
+    assert len(d2.plan.assignment.units) >= len(
+        d1.plan.assignment.units
     )
 
 
@@ -163,4 +166,4 @@ def test_capuchin_under_unlimited_budget_is_noop():
     planner = CapuchinPlanner(64 * GB)
     planner.setup(ModelView(model))
     d = planner.plan(BatchInput((64, 64), FLOAT32))
-    assert not d.plan.checkpoint_units and not d.plan.swap_units
+    assert d.plan.assignment.is_empty

@@ -146,7 +146,9 @@ def test_adaptive_margin_inflates_predictions():
     # larger footprint and therefore checkpoints at least as much
     p_plain = plain._make_plan(1400 * 512)
     p_adaptive = adaptive._make_plan(1400 * 512)
-    assert len(p_adaptive.checkpoint_units) >= len(p_plain.checkpoint_units)
+    assert len(p_adaptive.assignment.checkpoint_units) >= len(
+        p_plain.assignment.checkpoint_units
+    )
 
 
 # ----------------------------------------------------------------------- cli
