@@ -30,7 +30,7 @@ JOBS = min(4, os.cpu_count() or 1)
 
 
 def run_mimose(task, planner):
-    model = task.fresh_model()
+    model = task.model
     planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=planner.budget_bytes)
     result = RunResult(task.spec.abbr, "mimose", planner.budget_bytes)

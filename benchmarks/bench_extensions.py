@@ -70,7 +70,7 @@ def bench_adaptive_margin(benchmark, results_dir):
             task = load_task("OD-R50", iterations=60, seed=32)
             lb, _ = task.memory_bounds()
             budget = int(lb * 1.35)
-            model = task.fresh_model()
+            model = task.model
             planner = MimosePlanner(budget, **kwargs)
             planner.setup(ModelView(model))
             ex = TrainingExecutor(model, planner, capacity_bytes=budget)

@@ -84,7 +84,7 @@ def main() -> None:
     rows = []
     for scheduler in (GreedyScheduler(), KnapsackScheduler(), LatestFirstScheduler()):
         task = load_task("TC-Bert", iterations=args.iterations, seed=args.seed)
-        model = task.fresh_model()
+        model = task.model
         planner = MimosePlanner(budget, scheduler=scheduler)
         planner.setup(ModelView(model))
         # replay=False: execution events are emitted by *simulated*

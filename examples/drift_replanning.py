@@ -94,7 +94,7 @@ def main() -> None:
         seed=args.seed,
         drift_scenario=args.scenario,
     )
-    model = task.fresh_model()
+    model = task.model
     planner = MimosePlanner(budget, drift_detection=True)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=budget)

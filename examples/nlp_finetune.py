@@ -34,7 +34,7 @@ def main() -> None:
 
     task = load_task("MC-Roberta", iterations=args.iterations, seed=args.seed)
     budget = int(args.budget_gb * GB)
-    model = task.fresh_model()
+    model = task.model
     planner = MimosePlanner(budget)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=budget)

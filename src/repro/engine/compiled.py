@@ -31,22 +31,24 @@ charges are not a pure function of the plan.
 iteration is a function of the plan alone — which tensor is allocated
 or freed at each step, and which component is charged when, never
 depend on the input size.  Only the *sizes* (and through them the
-times) do, and each allocation's byte count comes from a profile-
-derived source: the iteration input, one activation record, or one unit
-boundary.  Certification needs no second execution: the full
+times) do, and each allocation's byte count is one entry of the model's
+per-shape request vector (:meth:`~repro.models.base.SegmentedModel
+.request_sizes`: the iteration input, every activation record, every
+unit boundary).  Certification needs no second execution: the full
 simulation that stored the replay record ran with the allocator's op log
 (:attr:`~repro.tensorsim.allocator.CachingAllocator.op_log`) and the
 stats builder's charge log armed, so the certifier lifts that pass's own
 malloc/free trace into the symbolic form — an alloc/free program over
-size sources, the strategy's :meth:`~repro.engine.strategies
+request-vector slots, the strategy's :meth:`~repro.engine.strategies
 .ExecutionStrategy.charge_plan` charge program (verified charge for
 charge against the recorded ``TimeCharged`` stream), and the mapping
 from COLLECT measurements (the record's own) to the saved-record
 allocations they sum.  The starting free list and in-use bytes are
 decoded from the world's allocator signature.
 
-**Evaluation** instantiates the request sizes from the unit profiles at
-the new batch and places the alloc/free program on a copy of the world
+**Evaluation** gathers the request sizes from the model's request vector
+at the new batch — built once per shape and shared by every template of
+the task — and places the alloc/free program on a copy of the world
 class's starting free list with the allocator's own placement core,
 :class:`~repro.tensorsim.allocator.FreeList` — the same best fit, split
 and coalescing decisions full simulation makes, at free-list cost
@@ -59,8 +61,8 @@ starting state — the same steady-state proof the replay tier stores
 under — so a served iteration leaves the world exactly as full
 simulation would have.  A size at which the program
 does not fit or does not round-trip falls back to full simulation; any
-*structural* drift (profile shapes, record names, upkeep rate) deletes
-the template, and full simulation may re-certify.
+*structural* drift (record layout, upkeep rate) deletes the template,
+and full simulation may re-certify.
 
 Why not serve stats from the fitted memory-estimator polynomials?  The
 estimator is a *regression* — its predictions approximate, so they can
@@ -73,8 +75,8 @@ use; the estimator keeps its planning role (see
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, ClassVar, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.engine.events import TimeCharged
 from repro.engine.replay import ReplayKey, ReplayRecord
@@ -86,12 +88,6 @@ if TYPE_CHECKING:
     from repro.engine.executor import TrainingExecutor
     from repro.models.base import BatchInput
     from repro.planners.base import PlanDecision
-
-# Allocation-size sources: where a request's byte count comes from when a
-# template is evaluated at a new batch.
-_SRC_INPUT = 0  # the iteration input tensor
-_SRC_RECORD = 1  # (unit_idx, record_idx) activation record
-_SRC_BOUNDARY = 2  # (unit_idx,) unit output boundary
 
 
 class _Reject(Exception):
@@ -125,65 +121,37 @@ class CompiledTemplate:
     """One certified world class: symbolic programs + starting free list.
 
     Everything structural (alloc/free program, charge program,
-    measurement spec, per-request size sources) was verified against the
+    measurement spec, per-request vector slots) was verified against the
     recorded certification pass before the template was accepted;
-    :meth:`evaluate` re-derives only what depends on the input size.
+    :meth:`evaluate` reads only what depends on the input size, from the
+    model's per-shape memo.
     """
 
-    #: per alloc op: its size source (input / record / boundary)
-    req_sources: tuple
+    #: per alloc op: its slot in the model's request vector
+    req_index: tuple
     #: the event program, flat-encoded: request index ``k`` for an
     #: allocation, ``-k - 1`` for the free of request ``k``
     ops: tuple
     #: the world class's starting free list (never mutated)
     start_free: FreeList
     unit_names: tuple
-    record_struct: tuple
-    promoted: tuple
+    #: the certified record layout (:meth:`SegmentedModel.record_layout`)
+    layout: tuple
     upkeep_rate: float
     charge_prog: tuple
     #: per measured unit: (unit_idx, req indices of saved records)
     measure_spec: tuple
     start_in_use: int
     const_stats: IterationStats
-    #: (shape, dtype) -> (request sizes, unit times), fingerprint-checked
-    _size_ctx: dict = field(default_factory=dict, init=False)
-
-    #: per-shape context entries kept per template (each is tiny: a request
-    #: vector and the unit times); cleared wholesale when full
-    MAX_SIZE_CTX: ClassVar[int] = 1024
 
     # ------------------------------------------------------------- evaluate
 
-    def _fingerprint_ok(self, executor, profiles) -> bool:
+    def _fingerprint_ok(self, executor, layout: tuple) -> bool:
         """Structural drift check: is this still the certified program?"""
-        if len(profiles) != len(self.record_struct):
-            return False
-        for ui, prof in enumerate(profiles):
-            acts = prof.activations
-            if (
-                tuple((rec.name, rec.saved) for rec in acts)
-                != self.record_struct[ui]
-            ):
-                return False
-            promoted = bool(acts) and acts[-1].spec == prof.output
-            if promoted != self.promoted[ui]:
-                return False
-        return executor.planner.upkeep_time_per_tensor == self.upkeep_rate
-
-    def _request_sizes(self, batch, profiles) -> list[int]:
-        """Allocator request bytes per alloc op, from the profile sources."""
-        sizes = []
-        for src in self.req_sources:
-            kind = src[0]
-            if kind == _SRC_RECORD:
-                nb = profiles[src[1]].activations[src[2]].spec.nbytes
-            elif kind == _SRC_BOUNDARY:
-                nb = profiles[src[1]].output.nbytes
-            else:
-                nb = batch.spec.nbytes
-            sizes.append(request_size(nb))
-        return sizes
+        return (
+            layout == self.layout
+            and executor.planner.upkeep_time_per_tensor == self.upkeep_rate
+        )
 
     def _place(self, rsizes: list[int]):
         """Run the alloc/free program on a copy of the starting free list.
@@ -195,8 +163,8 @@ class CompiledTemplate:
         """
         free = self.start_free.copy()
         take, give = free.take, free.give  # hoisted: this loop is the hot path
-        b: list[int] = [0] * len(self.req_sources)
-        where: list[int] = [0] * len(self.req_sources)
+        b: list[int] = [0] * len(self.req_index)
+        where: list[int] = [0] * len(self.req_index)
         cur = 0
         peak = 0
         for k in self.ops:
@@ -223,9 +191,8 @@ class CompiledTemplate:
         batch: "BatchInput",
         decision: "PlanDecision",
         iteration: int,
-        profiles,
     ) -> Optional[tuple[IterationStats, float] | str]:
-        """Serve this template at ``batch`` (``profiles`` for that batch).
+        """Serve this template at ``batch``.
 
         Returns ``(stats, sim_time)`` bit-identical to full simulation,
         the string ``"stale"`` when the template no longer describes the
@@ -233,26 +200,20 @@ class CompiledTemplate:
         when this particular size cannot be served (fall back to full
         simulation, template stays).
         """
-        # Size-dependent but world-independent inputs — the request vector
-        # and unit times — are pure functions of the batch shape, so they
-        # are derived (and the fingerprint checked) once per shape.
-        ctx = self._size_ctx.get((batch.shape, batch.dtype))
-        if ctx is None:
-            if not self._fingerprint_ok(executor, profiles):
-                return "stale"
-            ctx = (
-                self._request_sizes(batch, profiles),
-                [executor.unit_times(p) for p in profiles],
-                [len(p.activations) for p in profiles],
-            )
-            if len(self._size_ctx) >= self.MAX_SIZE_CTX:
-                self._size_ctx.clear()
-            self._size_ctx[(batch.shape, batch.dtype)] = ctx
-        rsizes, ut, nacts = ctx
-        run = self._place(rsizes)
+        # The size-dependent inputs — record layout, request vector, unit
+        # times — are pure functions of the batch shape, memoised on the
+        # model and shared by every template of the task.  The layout
+        # check guards the gather: equal layouts index the vector alike.
+        model = executor.model
+        if not self._fingerprint_ok(executor, model.record_layout(batch)):
+            return "stale"
+        vec = model.request_sizes(batch)
+        run = self._place([vec[i] for i in self.req_index])
         if run is None:
             return None
         b, peak_overshoot = run
+        ut = model.unit_times(executor.device, batch)
+        layout = self.layout
 
         # Fold the charge program in emission order — the same dict-add
         # order full simulation uses, so every float matches bitwise.
@@ -266,7 +227,7 @@ class CompiledTemplate:
             if name == "bwd":
                 v = ut[idx][1]
             elif name == "upkeep":
-                v = rate * nacts[idx]
+                v = rate * len(layout[idx][0])
             elif name == "optimizer":
                 v = executor._optimizer_time()
             else:  # fwd / recompute / collect all charge the forward time
@@ -316,7 +277,6 @@ def _certify(
     decision: "PlanDecision",
     replay_key: ReplayKey,
     record: ReplayRecord,
-    profiles,
     ops: Sequence[tuple],
     charges: Sequence[TimeCharged],
 ) -> CompiledTemplate:
@@ -334,30 +294,30 @@ def _certify(
     if prog is None:
         raise _Reject("mode/plan has no symbolic charge program")
 
-    units = model.units
-    if len(profiles) != len(units):
-        raise _Reject("profile/unit count mismatch")
-    unit_names = tuple(u.name for u in units)
+    profiles = model.profiles(batch)
+    unit_names = tuple(u.name for u in model.units)
+    layout = model.record_layout(batch)
 
-    # ---- allocation-size sources, keyed by tensor owner name
-    sources: dict[str, tuple] = {"input": (_SRC_INPUT,)}
-    record_struct = []
-    promoted = []
+    # ---- each tensor owner's slot in the model's request vector (input,
+    # every activation record, every unit boundary), and the (unit,
+    # record) of each record slot
+    slots: dict[str, int] = {"input": 0}
+    record_of: dict[int, tuple[int, int]] = {}
     for ui, prof in enumerate(profiles):
-        acts = prof.activations
-        record_struct.append(tuple((rec.name, rec.saved) for rec in acts))
-        promoted.append(bool(acts) and acts[-1].spec == prof.output)
-        for ri, rec in enumerate(acts):
-            if rec.name in sources:
+        for ri, rec in enumerate(prof.activations):
+            if rec.name in slots:
                 raise _Reject(f"ambiguous tensor name {rec.name!r}")
-            sources[rec.name] = (_SRC_RECORD, ui, ri)
-        bname = f"{unit_names[ui]}.out"
-        if bname in sources:
+            slot = slots[rec.name] = len(slots)
+            record_of[slot] = (ui, ri)
+    first_boundary = len(slots)
+    for ui, name in enumerate(unit_names):
+        bname = f"{name}.out"
+        if bname in slots:
             raise _Reject(f"ambiguous tensor name {bname!r}")
-        sources[bname] = (_SRC_BOUNDARY, ui)
+        slots[bname] = first_boundary + ui
 
     # ---- verify the charge program against the recorded charge stream
-    ut = [executor.unit_times(p) for p in profiles]
+    ut = model.unit_times(executor.device, batch)
     if len(prog) != len(charges):
         raise _Reject("charge program length diverged")
     for (name, idx), charge in zip(prog, charges):
@@ -375,7 +335,7 @@ def _certify(
             raise _Reject("charge value is not a pure function of the plan")
 
     # ---- lift the op log into the symbolic alloc/free program
-    req_sources: list[tuple] = []
+    req_index: list[int] = []
     req_sizes0: list[int] = []
     prog_ops: list[int] = []
     b0: list[int] = []
@@ -385,11 +345,11 @@ def _certify(
             owner, nbytes, addr, size, reserved_a_segment = op
             if reserved_a_segment:
                 raise _Reject("segment reserve/release inside the iteration")
-            src = sources.get(owner)
-            if src is None:
+            slot = slots.get(owner)
+            if slot is None:
                 raise _Reject(f"allocation by unknown owner {owner!r}")
-            k = len(req_sources)
-            req_sources.append(src)
+            k = len(req_index)
+            req_index.append(slot)
             req_sizes0.append(request_size(nbytes))
             prog_ops.append(k)
             b0.append(size)
@@ -408,11 +368,12 @@ def _certify(
     # ---- measurement spec: saved bytes of each measured unit are the sum
     # of its first-materialisation saved-record allocations
     first_rec_ops: dict[int, list[int]] = {}
-    for kk, src in enumerate(req_sources):
-        if src[0] == _SRC_RECORD:
-            lst = first_rec_ops.setdefault(src[1], [])
-            if len(lst) < len(profiles[src[1]].activations):
-                if src[2] != len(lst):
+    for kk, slot in enumerate(req_index):
+        if slot in record_of:
+            ui, ri = record_of[slot]
+            lst = first_rec_ops.setdefault(ui, [])
+            if len(lst) < len(profiles[ui].activations):
+                if ri != len(lst):
                     raise _Reject("activation records allocated out of order")
                 lst.append(kk)
     measure_units = [idx for name, idx in prog if name == "collect"]
@@ -425,7 +386,7 @@ def _certify(
         lst = first_rec_ops.get(ui, [])
         if len(lst) != len(acts):
             raise _Reject("measured unit never fully materialised")
-        keep = len(acts) - 1 if promoted[ui] else len(acts)
+        keep = len(acts) - 1 if layout[ui][1] else len(acts)
         req_idx = tuple(
             lst[ri] for ri in range(keep) if acts[ri].saved
         )
@@ -436,12 +397,11 @@ def _certify(
 
     signature = replay_key.signature
     template = CompiledTemplate(
-        req_sources=tuple(req_sources),
+        req_index=tuple(req_index),
         ops=tuple(prog_ops),
         start_free=FreeList.from_signature(signature),
         unit_names=unit_names,
-        record_struct=tuple(record_struct),
-        promoted=tuple(promoted),
+        layout=layout,
         upkeep_rate=upkeep_rate,
         charge_prog=prog,
         measure_spec=tuple(measure_spec),
@@ -451,13 +411,14 @@ def _certify(
 
     # ---- self-test: the template must reproduce the certification
     # iteration bit for bit before it is ever trusted elsewhere
-    if template._request_sizes(batch, profiles) != req_sizes0:
-        raise _Reject("size sources mis-derive the certification requests")
+    vec = model.request_sizes(batch)
+    if [vec[i] for i in template.req_index] != req_sizes0:
+        raise _Reject("vector slots mis-derive the certification requests")
     run = template._place(req_sizes0)
     if run is None or run[0] != b0:
         raise _Reject("placement diverges on the certification trace")
     result = template.evaluate(
-        executor, batch, decision, record.stats.iteration, profiles
+        executor, batch, decision, record.stats.iteration
     )
     if not isinstance(result, tuple):
         raise _Reject("template rejects its own certification input")
@@ -497,11 +458,6 @@ class CompiledCache:
             OrderedDict()
         )
         self._rejected: set[CompiledKey] = set()
-        # Unit profiles are a pure function of the batch shape (the model
-        # is fixed per executor), but re-tracing them dominates template
-        # evaluation; memoised here so every template shares one trace per
-        # shape.  Independent of allocator state: survives invalidate().
-        self._profile_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self.hits = 0
         self.misses = 0
         #: eligible iterations not consulted (timeline recording active)
@@ -531,18 +487,6 @@ class CompiledCache:
         self._rejected.clear()
         self.invalidations += 1
 
-    def _profiles(self, executor: "TrainingExecutor", batch: "BatchInput"):
-        key = (batch.shape, batch.dtype)
-        cached = self._profile_cache.get(key)
-        if cached is not None:
-            self._profile_cache.move_to_end(key)
-            return cached
-        profiles = executor.model.profiles(batch)
-        self._profile_cache[key] = profiles
-        if len(self._profile_cache) > 4 * self.max_entries:
-            self._profile_cache.popitem(last=False)
-        return profiles
-
     def serve(
         self,
         executor: "TrainingExecutor",
@@ -560,10 +504,7 @@ class CompiledCache:
         if template is None:
             self.misses += 1
             return None
-        result = template.evaluate(
-            executor, batch, decision, iteration,
-            self._profiles(executor, batch),
-        )
+        result = template.evaluate(executor, batch, decision, iteration)
         if isinstance(result, tuple):
             self._templates.move_to_end(key)
             self.hits += 1
@@ -606,8 +547,7 @@ class CompiledCache:
         key = CompiledKey.of(replay_key)
         try:
             template = _certify(
-                executor, batch, decision, replay_key, record,
-                self._profiles(executor, batch), ops, charges,
+                executor, batch, decision, replay_key, record, ops, charges,
             )
         except _Reject:
             self._rejected.add(key)

@@ -38,14 +38,13 @@ from repro.engine.strategies import (
     strategy_for,
 )
 from repro.engine.trace import MemoryTimeline
-from repro.graph.module import ModuleProfile
 from repro.models.base import BatchInput, SegmentedModel
 from repro.planners.base import PlanDecision, Planner
 from repro.tensorsim.allocator import Block, CachingAllocator, OutOfMemoryError
 from repro.tensorsim.clock import SimClock
 from repro.tensorsim.device import DeviceModel
 from repro.tensorsim.faults import FaultInjector, FaultPlan
-from repro.tensorsim.tensor import SimTensor, TensorSpec
+from repro.tensorsim.tensor import SimTensor
 
 
 class IterationOOM(RuntimeError):
@@ -133,7 +132,6 @@ class TrainingExecutor:
         self._sig_cache: Optional[tuple] = None
         self._sig_version: Optional[tuple] = None
         self._iteration = 0
-        self._time_cache: dict[tuple[str, TensorSpec], tuple[float, float]] = {}
         self._static_blocks = self._allocate_static()
         self.swap = SwapEngine()
         # The event bus and the engine's own subscribers.  Subscription
@@ -177,14 +175,6 @@ class TrainingExecutor:
     def static_bytes(self) -> int:
         return sum(b.size for b in self._static_blocks)
 
-    def unit_times(self, profile: ModuleProfile) -> tuple[float, float]:
-        """(forward, backward) seconds for one unit profile (cached)."""
-        key = (profile.module_name, profile.input)
-        cached = self._time_cache.get(key)
-        if cached is None:
-            cached = self._time_cache[key] = self.device.unit_times(profile)
-        return cached
-
     def _optimizer_time(self) -> float:
         n = self.model.param_count()
         # Adam: read params/grads/m/v, write params/m/v -> ~28 B/param traffic.
@@ -193,8 +183,7 @@ class TrainingExecutor:
     def iteration_times(self, batch: BatchInput) -> tuple[float, float]:
         """(total forward, total backward) seconds for one batch shape."""
         fwd = bwd = 0.0
-        for p in self.model.profiles(batch):
-            f, b = self.unit_times(p)
+        for f, b in self.model.unit_times(self.device, batch):
             fwd += f
             bwd += b
         return fwd, bwd
@@ -430,6 +419,7 @@ class TrainingExecutor:
             strategy=strategy,
             swap=self.swap,
             profiles=self.model.profiles(batch),
+            unit_times=self.model.unit_times(self.device, batch),
         )
         strategy.begin(ctx)  # plan validation errors propagate, not OOM
         fault_block: Optional[Block] = None

@@ -93,6 +93,7 @@ class UnitRuntime:
     boundary_is_internal: bool = False
     recompute_needed: bool = False
     fwd_time: float = 0.0
+    bwd_time: float = 0.0
     last_access: float = 0.0
     # swap state (hybrid plans): offloaded means the saved internals live
     # in host memory and must be transferred back before backward
@@ -199,6 +200,8 @@ class IterationContext:
     strategy: "ExecutionStrategy"
     swap: SwapEngine
     profiles: tuple[ModuleProfile, ...]
+    #: per unit: (forward, backward) seconds at this batch
+    unit_times: tuple[tuple[float, float], ...]
     runtimes: list[UnitRuntime] = field(default_factory=list)
     input_tensor: Optional[SimTensor] = None
 
@@ -233,9 +236,6 @@ class IterationContext:
         return self.executor.model
 
     # ---------------------------------------------------------- time & alloc
-
-    def times(self, profile: ModuleProfile) -> tuple[float, float]:
-        return self.executor.unit_times(profile)
 
     def charge(self, component: str, seconds: float) -> None:
         """Advance the clock and publish the charge to one stats component."""
@@ -437,13 +437,14 @@ class ExecutionStrategy:
 
     # --------------------------------------------------------- shared steps
 
-    def open_unit(self, ctx: IterationContext, unit, prof) -> UnitRuntime:
+    def open_unit(self, ctx: IterationContext, ui: int) -> UnitRuntime:
         """Per-unit forward prologue: upkeep charge + runtime registration."""
-        fwd_t, _ = ctx.times(prof)
+        prof = ctx.profiles[ui]
+        fwd_t, bwd_t = ctx.unit_times[ui]
         upkeep_rate = ctx.planner.upkeep_time_per_tensor
         if upkeep_rate:
             ctx.charge("upkeep", upkeep_rate * len(prof.activations))
-        rt = UnitRuntime(unit.name, prof, fwd_time=fwd_t)
+        rt = UnitRuntime(prof.module_name, prof, fwd_time=fwd_t, bwd_time=bwd_t)
         ctx.runtimes.append(rt)  # registered before allocs so OOM unwinds it
         return rt
 
@@ -491,9 +492,9 @@ class NormalStrategy(ExecutionStrategy):
         # (plans may legitimately mention them; execution ignores that).
         assignment = ctx.decision.plan.assignment
         prev_rt: Optional[UnitRuntime] = None
-        for unit, prof in zip(ctx.model.units, ctx.profiles):
+        for ui, unit in enumerate(ctx.model.units):
             ctx.swap.flush(ctx)
-            rt = self.open_unit(ctx, unit, prof)
+            rt = self.open_unit(ctx, ui)
             action = (
                 assignment.action_for(unit.name)
                 if unit.checkpointable
@@ -590,8 +591,7 @@ class NormalStrategy(ExecutionStrategy):
                     if urt is not rt and urt.boundary is not None:
                         urt.boundary.materialize(ctx.allocator)
             self.recompute_if_needed(ctx, rt)
-            _, bwd_t = ctx.times(rt.profile)
-            ctx.charge("bwd", bwd_t)
+            ctx.charge("bwd", rt.bwd_time)
             ctx.release_unit(rt)
             ctx.emit_unit_backward(rt)
 
@@ -632,8 +632,8 @@ class CollectStrategy(ExecutionStrategy):
 
     def run_forward(self, ctx: IterationContext) -> None:
         noise_rng = ctx.executor.noise_rng
-        for unit, prof in zip(ctx.model.units, ctx.profiles):
-            rt = self.open_unit(ctx, unit, prof)
+        for ui, unit in enumerate(ctx.model.units):
+            rt = self.open_unit(ctx, ui)
             self.forward_compute(ctx, rt)
             if unit.checkpointable:
                 saved = ctx.saved_block_bytes(rt)
@@ -678,7 +678,7 @@ class CollectStrategy(ExecutionStrategy):
         }
         for rt in reversed(ctx.runtimes):
             self.recompute_if_needed(ctx, rt)
-            _, bwd_t = ctx.times(rt.profile)
+            bwd_t = rt.bwd_time
             ctx.charge("bwd", bwd_t)
             if rt.name in checkpointable:
                 meas_t = bwd_t
@@ -714,8 +714,8 @@ class ReactiveStrategy(ExecutionStrategy):
         self.evictable: dict[str, UnitRuntime] = {}
 
     def run_forward(self, ctx: IterationContext) -> None:
-        for unit, prof in zip(ctx.model.units, ctx.profiles):
-            rt = self.open_unit(ctx, unit, prof)
+        for ui, unit in enumerate(ctx.model.units):
+            rt = self.open_unit(ctx, ui)
             self.forward_compute(ctx, rt)
             ctx.free_transients(rt)
             rt.last_access = ctx.clock.now
@@ -726,8 +726,7 @@ class ReactiveStrategy(ExecutionStrategy):
     def run_backward(self, ctx: IterationContext) -> None:
         for rt in reversed(ctx.runtimes):
             self.recompute_if_needed(ctx, rt)
-            _, bwd_t = ctx.times(rt.profile)
-            ctx.charge("bwd", bwd_t)
+            ctx.charge("bwd", rt.bwd_time)
             self.evictable.pop(rt.name, None)
             ctx.release_unit(rt)
             ctx.emit_unit_backward(rt)

@@ -48,8 +48,7 @@ def fig3_data(
         lengths = [b.shape[-1] for b in task.loader]
         histogram = dict(sorted(Counter(lengths).items()))
         # memory footprint curve over the observed length range
-        model = task.fresh_model()
-        view = ModelView(model)
+        view = ModelView(task.model)
         rows = next(iter(task.loader)).shape[0]
         lo, hi = min(lengths), max(lengths)
         sizes = np.linspace(lo, hi, memory_points).astype(int)

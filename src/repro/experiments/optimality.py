@@ -178,7 +178,7 @@ def fitted_inputs(
         budget = max(int(budget_gb * GB), int(lb * 1.15))
     planner = MimosePlanner(budget)
     iterations = planner.collector.min_iterations + 6
-    model = task.fresh_model()
+    model = task.model
     planner.setup(ModelView(model))
     executor = TrainingExecutor(
         model,

@@ -3,7 +3,9 @@
 Sweeps can execute their grid points in parallel worker processes
 (``sweep(..., jobs=N)``, surfaced as ``repro sweep --jobs N``).  Every
 grid point is an independent deterministic simulation — the loader
-restarts from its own seed, the model is rebuilt fresh, and the fault
+restarts from its own seed, the task's shared model is immutable and
+everything it memoises is a pure function of the input shape (so a warm
+memo a forked worker inherits cannot change a result), and the fault
 plan's seed is *derived* from (base seed, task, planner, budget) with the
 same :func:`derive_fault_seed` in both the serial and the parallel path —
 so a parallel sweep returns byte-identical results to a serial one, in
@@ -189,7 +191,7 @@ def run_task(
     Post-run and digest-neutral — simulated behaviour is unchanged.
     """
     device = device or DeviceModel(V100)
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner(
         planner_name,
         budget_bytes,

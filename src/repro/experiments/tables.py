@@ -239,7 +239,7 @@ def _collect_samples(
     simulated memory law is exactly quadratic and every regressor's error
     collapses to rounding, which the paper's Tables IV/V do not show.
     """
-    model = task.fresh_model()
+    model = task.model
     planner = MimosePlanner(
         budget_bytes=64 * GB, collect_iterations=num_sizes
     )

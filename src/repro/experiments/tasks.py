@@ -9,9 +9,9 @@
 | OD-R50     | Object Detection    | COCO     | ResNet50  | 8     |
 | OD-R101    | Object Detection    | COCO     | ResNet101 | 6     |
 
-A :class:`TaskContext` bundles everything a run needs: a fresh model, the
-seeded data loader, the worst-case batch (for static planners), and
-calibration percentiles of the input-size distribution.
+A :class:`TaskContext` bundles everything a run needs: the task's shared
+model, the seeded data loader, the worst-case batch (for static planners),
+and calibration percentiles of the input-size distribution.
 """
 
 from __future__ import annotations
@@ -67,15 +67,19 @@ TASKS: dict[str, TaskSpec] = {
 
 @dataclass
 class TaskContext:
-    """Everything needed to run one task."""
+    """Everything needed to run one task.
+
+    ``model`` is shared by every run of the task, so each input shape is
+    traced, sized and timed once per task: it is never written to after
+    it is built, and what it memoises is a pure function of the input
+    shape (see :class:`~repro.models.base.SegmentedModel`).
+    """
 
     spec: TaskSpec
     loader: DataLoader
     worst_case: BatchInput
+    model: SegmentedModel = field(repr=False)
     calibration: list[BatchInput] = field(repr=False, default_factory=list)
-
-    def fresh_model(self) -> SegmentedModel:
-        return build_model(self.spec.model)
 
     def percentile_batch(self, q: float) -> BatchInput:
         """Calibration batch at quantile ``q`` of input size."""
@@ -94,8 +98,7 @@ class TaskContext:
     def memory_bounds(self) -> tuple[int, int]:
         """(lower, upper) peak bytes at the worst-case input — the Fig 10
         "*" markers: full checkpointing vs no checkpointing."""
-        model = self.fresh_model()
-        view = ModelView(model)
+        view = ModelView(self.model)
         profiles = view.profiles(self.worst_case)
         lb = full_checkpoint_peak(
             profiles,
@@ -152,5 +155,6 @@ def load_task(
         spec=spec,
         loader=loader,
         worst_case=loader.worst_case_batch(),
+        model=build_model(spec.model),
         calibration=loader.peek_sizes(calibration_samples),
     )

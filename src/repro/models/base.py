@@ -8,12 +8,17 @@ which §III-A notes is constant across input sizes (only activations vary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from array import array
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.graph.module import Module, ModuleProfile
+from repro.tensorsim.allocator import request_size
 from repro.tensorsim.dtypes import DType, INT64
 from repro.tensorsim.tensor import TensorSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.tensorsim.device import DeviceModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +65,29 @@ class StaticMemory:
         )
 
 
+@dataclass(slots=True, eq=False)
+class _ShapeMemo:
+    """What one model derives from one batch shape; fields fill on demand."""
+
+    profiles: tuple[ModuleProfile, ...]
+    layout: Optional[tuple] = None
+    sizes: Optional[array] = None
+    #: device preset -> per-unit (forward, backward) seconds
+    times: dict = field(default_factory=dict)
+
+
 class SegmentedModel:
     """An ordered chain of (mostly checkpointable) units.
+
+    A model is immutable once built: nothing writes to it after
+    construction.  Its only state is memoised derived data — the per-unit
+    profile memo, the per-shape memo behind :meth:`profiles`,
+    :meth:`record_layout`, :meth:`request_sizes` and :meth:`unit_times`,
+    the per-(device preset, unit, input spec) unit-time memo and the
+    parameter count — each a pure function of the architecture, the input
+    spec and (for times) the device preset.  One model can therefore serve
+    every run of a task, and a worker process that inherits a warm model
+    computes exactly what a cold one would.
 
     Args:
         name: model identifier (e.g. ``"bert-base"``).
@@ -96,18 +122,90 @@ class SegmentedModel:
         self.probe_shape = probe_shape
         self.amp = amp
         self._param_count: int | None = None
+        self._shapes: dict[BatchInput, _ShapeMemo] = {}
+        self._layouts: dict[tuple, tuple] = {}
+        self._unit_times: dict[tuple, tuple[float, float]] = {}
 
     # ------------------------------------------------------------ profiling
 
-    def profiles(self, batch: BatchInput) -> list[ModuleProfile]:
-        """Profile the full chain for one batch shape (unit caches apply)."""
-        x = batch.spec
-        out: list[ModuleProfile] = []
-        for unit in self.units:
-            p = unit.profile(x)
-            out.append(p)
-            x = p.output
-        return out
+    def profiles(self, batch: BatchInput) -> tuple[ModuleProfile, ...]:
+        """Profile the full chain for one batch shape (memoised per shape;
+        a unit traces each input spec once)."""
+        memo = self._shapes.get(batch)
+        if memo is None:
+            x = batch.spec
+            chain = []
+            for unit in self.units:
+                p = unit.profile(x)
+                chain.append(p)
+                x = p.output
+            memo = self._shapes[batch] = _ShapeMemo(tuple(chain))
+        return memo.profiles
+
+    def _shape(self, batch: BatchInput) -> _ShapeMemo:
+        memo = self._shapes.get(batch)
+        if memo is None:
+            self.profiles(batch)  # every trace runs inside profiles()
+            memo = self._shapes[batch]
+        return memo
+
+    def record_layout(self, batch: BatchInput) -> tuple:
+        """Per unit: its activation records' ``(name, saved)`` pairs, and
+        whether the last record is the unit's output boundary.
+
+        Two shapes with equal layouts index :meth:`request_sizes`
+        identically, and share one layout object."""
+        memo = self._shape(batch)
+        if memo.layout is None:
+            layout = tuple(
+                (
+                    tuple((rec.name, rec.saved) for rec in p.activations),
+                    bool(p.activations) and p.activations[-1].spec == p.output,
+                )
+                for p in memo.profiles
+            )
+            memo.layout = self._layouts.setdefault(layout, layout)
+        return memo.layout
+
+    def request_sizes(self, batch: BatchInput) -> array:
+        """Allocator request bytes of every tensor an iteration at this
+        shape allocates, in canonical order: the input, then every
+        activation record of every unit (unit by unit), then each unit's
+        output boundary."""
+        memo = self._shape(batch)
+        if memo.sizes is None:
+            profiles = memo.profiles
+            memo.sizes = array(
+                "q",
+                [request_size(batch.nbytes)]
+                + [
+                    request_size(rec.spec.nbytes)
+                    for p in profiles
+                    for rec in p.activations
+                ]
+                + [request_size(p.output.nbytes) for p in profiles],
+            )
+        return memo.sizes
+
+    def unit_times(
+        self, device: "DeviceModel", batch: BatchInput
+    ) -> tuple[tuple[float, float], ...]:
+        """(forward, backward) seconds of every unit at one batch shape.
+
+        Each (device preset, unit, input spec) is priced once, so units
+        whose input does not depend on the batch shape share one entry."""
+        memo = self._shape(batch)
+        times = memo.times.get(device.preset)
+        if times is None:
+            out = []
+            for p in memo.profiles:
+                key = (device.preset, p.module_name, p.input)
+                t = self._unit_times.get(key)
+                if t is None:
+                    t = self._unit_times[key] = device.unit_times(p)
+                out.append(t)
+            times = memo.times[device.preset] = tuple(out)
+        return times
 
     def unit_names(self) -> list[str]:
         return [u.name for u in self.units]
@@ -166,8 +264,12 @@ class SegmentedModel:
         )
 
     def clear_caches(self) -> None:
+        """Drop every memo: unit profiles, per-shape entries, unit times."""
         for unit in self.units:
             unit.clear_profile_cache()
+        self._shapes.clear()
+        self._layouts.clear()
+        self._unit_times.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SegmentedModel({self.name!r}, units={len(self.units)})"

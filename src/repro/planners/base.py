@@ -25,6 +25,7 @@ from repro.models.base import BatchInput, SegmentedModel, StaticMemory
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.stats import IterationStats
     from repro.graph.module import ModuleProfile
+    from repro.tensorsim.device import DeviceModel
 
 
 class MemoryAction(enum.Enum):
@@ -253,9 +254,16 @@ class ModelView:
         )
         self.static_memory: StaticMemory = model.static_memory()
 
-    def profiles(self, batch: BatchInput) -> list["ModuleProfile"]:
+    def profiles(self, batch: BatchInput) -> tuple["ModuleProfile", ...]:
         """Offline model analysis (static planners only)."""
         return self._model.profiles(batch)
+
+    def unit_times(
+        self, device: "DeviceModel", batch: BatchInput
+    ) -> tuple[tuple[float, float], ...]:
+        """Per-unit (forward, backward) seconds on ``device`` (measured
+        execution, for planners that price actions by time)."""
+        return self._model.unit_times(device, batch)
 
     def unit_index(self, name: str) -> int:
         return self.unit_names.index(name)

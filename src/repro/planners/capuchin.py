@@ -111,7 +111,7 @@ class CapuchinPlanner(Planner):
         # window, and activation sizes price the PCIe transfers.  The
         # selection loop itself (largest-first until the excess is
         # covered, aggregate transfer envelope) is HybridGreedyScheduler.
-        times = {n: self.device.unit_times(by_name[n]) for n in names}
+        times = dict(zip(view.unit_names, view.unit_times(self.device, batch)))
         assignment = self.scheduler.assign(
             SolverInput(
                 est_bytes={n: unit_saved_bytes(by_name[n]) for n in names},

@@ -60,7 +60,7 @@ def assignment_form(assignment: ActionAssignment) -> list:
 def static_cells(task_name: str) -> Iterator[tuple[str, str]]:
     """``(cell, digest)`` for every static planner and budget of one task."""
     task = load_task(task_name, iterations=1, seed=0)
-    model = task.fresh_model()
+    model = task.model
     for gb in BUDGETS_GB:
         budget = int(gb * GB)
         for name in STATIC_PLANNERS:

@@ -30,7 +30,7 @@ from tests.helpers_digest_grid import near_recurrence_grid, run_grid_point_resul
 
 def _run(task, planner_name, budget, *, compiled, stream=None, faults=None,
          max_retries=3):
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner(planner_name, budget, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(
@@ -177,7 +177,7 @@ def test_structural_drift_falls_back_and_deletes_template():
     results stay identical to a never-compiled run."""
     task = load_task("TC-Bert", iterations=120, seed=0)
     stream = [b for b in task.loader]
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner("sublinear", 4 * GB, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
@@ -191,8 +191,7 @@ def test_structural_drift_falls_back_and_deletes_template():
             # Simulate structural drift: the stored record structure no
             # longer describes what the strategy would save.
             key, template = next(iter(cache._templates.items()))
-            template.record_struct = ((),) * len(template.record_struct)
-            template._size_ctx.clear()
+            template.layout = (((), False),) * len(template.layout)
             fallbacks_before = cache.fallbacks
             tampered = True
     assert tampered, "no template was ever certified"
@@ -200,7 +199,7 @@ def test_structural_drift_falls_back_and_deletes_template():
     # the drifted template was deleted (possibly re-certified afresh
     # later, which is fine — the tampered object must be gone)
     assert all(
-        t.record_struct != ((),) * len(t.record_struct) or not t.record_struct
+        t.layout != (((), False),) * len(t.layout) or not t.layout
         for t in cache._templates.values()
     )
     without, _ = _run(task, "sublinear", 4 * GB, compiled=False, stream=stream)
@@ -220,7 +219,7 @@ def test_reactive_mode_never_compiled():
 def test_compiled_disabled_flag():
     """``compiled=False`` (the CLI's --no-compiled) removes the tier."""
     task = load_task("TC-Bert", iterations=6, seed=0)
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner("sublinear", 4 * GB, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(

@@ -30,7 +30,7 @@ from repro.tensorsim.faults import FaultPlan
 
 def _run(task, planner_name, budget, *, replay, timeline=None, faults=None,
          max_retries=3):
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner(planner_name, budget, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(
@@ -102,7 +102,7 @@ def test_replay_gets_hits_on_recurring_shapes():
     """A cycled shape bucket converges to a high replay hit rate."""
     task = load_task("TC-Bert", iterations=6, seed=0)
     stream = [b for b in task.loader] * 20
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner("mimose", 5 * GB, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=5 * GB)
@@ -114,7 +114,7 @@ def test_replay_gets_hits_on_recurring_shapes():
 def test_reactive_mode_never_replayed():
     task = load_task("TC-Bert", iterations=8, seed=0)
     stream = [b for b in task.loader] * 5
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner("dtr", 5 * GB, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=32 * GB)
@@ -131,7 +131,7 @@ def test_fault_windows_bypass_and_invalidate():
     budget = 4 * GB
 
     def run(replay):
-        model = task.fresh_model()
+        model = task.model
         planner = make_planner("mimose", budget, task)
         planner.setup(ModelView(model))
         executor = TrainingExecutor(
@@ -152,7 +152,7 @@ def test_fault_windows_bypass_and_invalidate():
 
 def test_replay_disabled():
     task = load_task("TC-Bert", iterations=6, seed=0)
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner("mimose", 5 * GB, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(
@@ -178,7 +178,7 @@ def test_recovery_full_checkpoint_clears_plan_cache():
     assert result.succeeded
 
     # Rebuild a fitted planner with cached plans, then drive rung 2.
-    model = task.fresh_model()
+    model = task.model
     planner = make_planner("mimose", budget, task)
     planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=budget)

@@ -66,7 +66,11 @@ def test_mimose_overhead_is_small(tc_bert_runs):
     collects = [s for s in mimose.iterations if s.mode == "collect"]
     assert 8 <= len(collects) <= 16
     responsive = [s for s in mimose.iterations if s.mode == "normal"]
-    for s in responsive:
+    assert responsive
+    # The first responsive plan() runs the lazy estimator fit: host
+    # wall-clock that table3_rows() reports apart as fit_ms and leaves
+    # out of its per-plan bound.  Every later plan is gated here.
+    for s in responsive[1:]:
         assert s.planning_time < 0.01  # well under 10 ms
     mean_iter = mimose.mean_iteration_time()
     overhead_iters = sum(s.overhead_time for s in mimose.iterations) / mean_iter

@@ -6,6 +6,7 @@ from repro.models.base import BatchInput, SegmentedModel, StaticMemory
 from repro.models.registry import available_models, build_model
 from repro.models.resnet import build_resnet50_det, build_resnet101_det
 from repro.models.t5 import build_t5_base
+from repro.tensorsim.device import DeviceModel
 from repro.tensorsim.dtypes import FLOAT32, INT64
 
 from tests.helpers import make_tiny_model
@@ -155,7 +156,26 @@ def test_param_count_is_cached_and_stable(tiny_model):
 
 
 def test_clear_caches(bert_model):
-    bert_model.profiles(BatchInput((2, 16), INT64))
+    batch = BatchInput((2, 16), INT64)
+    device = DeviceModel()
+    first = bert_model.profiles(batch)
+    derived = (
+        bert_model.record_layout(batch),
+        bert_model.request_sizes(batch),
+        bert_model.unit_times(device, batch),
+    )
+    # memoised per shape: the same objects until the caches are cleared
+    assert bert_model.profiles(batch) is first
+    assert bert_model.unit_times(device, batch) is derived[2]
     bert_model.clear_caches()
-    # still works after clearing
-    assert bert_model.profiles(BatchInput((2, 16), INT64))
+    again = bert_model.profiles(batch)
+    # every unit is traced again, to equal profiles in new objects
+    assert again is not first and again == first
+    assert all(a is not b for a, b in zip(again, first))
+    rederived = (
+        bert_model.record_layout(batch),
+        bert_model.request_sizes(batch),
+        bert_model.unit_times(device, batch),
+    )
+    assert all(a is not b for a, b in zip(rederived, derived))
+    assert rederived == derived

@@ -450,9 +450,9 @@ def test_template_path_matches_live_allocator(prefix, steps):
     alloc.op_log = None
 
     template = CompiledTemplate(
-        req_sources=((),) * len(steps), ops=tuple(program),
+        req_index=tuple(range(len(steps))), ops=tuple(program),
         start_free=FreeList.from_signature(signature), unit_names=(),
-        record_struct=(), promoted=(), upkeep_rate=0.0, charge_prog=(),
+        layout=(), upkeep_rate=0.0, charge_prog=(),
         measure_spec=(), start_in_use=signature[0], const_stats=None,
     )
     placed = template._place([request_size(nb) for nb in nbytes])
