@@ -22,9 +22,9 @@ consulted for iterations that produced a :class:`~repro.engine.replay
 noisy COLLECT passes never reach it), and a template is only built from
 an iteration whose record round-tripped the allocator signature.  On
 top of that the certifier rejects worlds it cannot prove size-generic:
-plans with swap (stall times depend on where the copy-engine timeline
-falls relative to the backward), iterations that reserve or release
-segments mid-flight, and iterations whose memory traffic or time
+passes that moved bytes over the copy engine (swap-out completion moves
+frees and stalls as the input size changes), iterations that reserve or
+release segments mid-flight, and iterations whose memory traffic or time
 charges are not a pure function of the plan.
 
 **What a template is.**  In an eligible world the *event sequence* of an
@@ -38,13 +38,14 @@ unit boundary).  Certification needs no second execution: the full
 simulation that stored the replay record ran with the allocator's op log
 (:attr:`~repro.tensorsim.allocator.CachingAllocator.op_log`) and the
 stats builder's charge log armed, so the certifier lifts that pass's own
-malloc/free trace into the symbolic form — an alloc/free program over
-request-vector slots, the strategy's :meth:`~repro.engine.strategies
-.ExecutionStrategy.charge_plan` charge program (verified charge for
-charge against the recorded ``TimeCharged`` stream), and the mapping
-from COLLECT measurements (the record's own) to the saved-record
-allocations they sum.  The starting free list and in-use bytes are
-decoded from the world's allocator signature.
+traces into the symbolic form — an alloc/free program over request-vector
+slots, a charge program over the ``(component, unit)`` pairs of the
+recorded :class:`~repro.engine.events.TimeCharged` stream (each charge
+resolved once to the unit time or constant it stands for, and checked
+against the recorded value), and the mapping from COLLECT measurements
+(the record's own) to the saved-record allocations they sum.  The
+starting free list and in-use bytes are decoded from the world's
+allocator signature.
 
 **Evaluation** gathers the request sizes from the model's request vector
 at the new batch — built once per shape and shared by every template of
@@ -81,13 +82,21 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 from repro.engine.events import TimeCharged
 from repro.engine.replay import ReplayKey, ReplayRecord
 from repro.engine.stats import IterationStats, UnitMeasurement
-from repro.engine.strategies import strategy_for
 from repro.tensorsim.allocator import FreeList, request_size
 
 if TYPE_CHECKING:
     from repro.engine.executor import TrainingExecutor
     from repro.models.base import BatchInput
     from repro.planners.base import PlanDecision
+
+
+#: LRU capacity of a :class:`CompiledCache`, in world classes
+MAX_TEMPLATES = 256
+
+#: the column of a unit's (forward, backward) times each per-unit compute
+#: charge stands for: the collector's second forward and a recompute
+#: repeat the forward
+_TIME_COLUMN = {"fwd": 0, "recompute": 0, "collect": 0, "bwd": 1}
 
 
 class _Reject(Exception):
@@ -97,9 +106,9 @@ class _Reject(Exception):
 class CompiledKey(NamedTuple):
     """World-*class* fingerprint: a :class:`ReplayKey` minus the size.
 
-    Dropping ``shape`` and ``predicted_peak_bytes`` is what turns exact
-    recurrence into near-recurrence — those become the template's
-    symbolic inputs.  ``timeline_active`` is dropped because timeline
+    Dropping ``shape`` is what turns exact recurrence into
+    near-recurrence — it becomes the template's symbolic input.
+    ``timeline_active`` is dropped because timeline
     worlds are never served compiled (per-allocation samples cannot be
     produced without running the allocator).
     """
@@ -138,6 +147,9 @@ class CompiledTemplate:
     #: the certified record layout (:meth:`SegmentedModel.record_layout`)
     layout: tuple
     upkeep_rate: float
+    #: per charge, in emission order: ``(component, unit, column,
+    #: seconds)`` — the unit's time in ``column`` at the served shape, or
+    #: the constant ``seconds`` when ``column`` is None (upkeep, optimizer)
     charge_prog: tuple
     #: per measured unit: (unit_idx, req indices of saved records)
     measure_spec: tuple
@@ -213,25 +225,17 @@ class CompiledTemplate:
             return None
         b, peak_overshoot = run
         ut = model.unit_times(executor.device, batch)
-        layout = self.layout
 
         # Fold the charge program in emission order — the same dict-add
         # order full simulation uses, so every float matches bitwise.
-        rate = self.upkeep_rate
         comp = {
             "fwd": 0.0, "bwd": 0.0, "recompute": 0.0, "collect": 0.0,
             "upkeep": 0.0, "optimizer": 0.0,
         }
         t = 0.0
-        for name, idx in self.charge_prog:
-            if name == "bwd":
-                v = ut[idx][1]
-            elif name == "upkeep":
-                v = rate * len(layout[idx][0])
-            elif name == "optimizer":
-                v = executor._optimizer_time()
-            else:  # fwd / recompute / collect all charge the forward time
-                v = ut[idx][0]
+        for name, ui, col, v in self.charge_prog:
+            if col is not None:
+                v = ut[ui][col]
             comp[name] += v
             t += v
 
@@ -286,15 +290,10 @@ def _certify(
     stream of the full simulation that produced ``record``.  Raises
     :class:`_Reject` when the world cannot be proven size-generic.
     """
+    if record.stats.num_swapped:
+        raise _Reject("the pass moved bytes over the copy engine")
     model = executor.model
     upkeep_rate = executor.planner.upkeep_time_per_tensor
-    prog = strategy_for(decision).charge_plan(
-        model, decision, bool(upkeep_rate)
-    )
-    if prog is None:
-        raise _Reject("mode/plan has no symbolic charge program")
-
-    profiles = model.profiles(batch)
     unit_names = tuple(u.name for u in model.units)
     layout = model.record_layout(batch)
 
@@ -303,11 +302,11 @@ def _certify(
     # record) of each record slot
     slots: dict[str, int] = {"input": 0}
     record_of: dict[int, tuple[int, int]] = {}
-    for ui, prof in enumerate(profiles):
-        for ri, rec in enumerate(prof.activations):
-            if rec.name in slots:
-                raise _Reject(f"ambiguous tensor name {rec.name!r}")
-            slot = slots[rec.name] = len(slots)
+    for ui, (records, _promoted) in enumerate(layout):
+        for ri, (name, _saved) in enumerate(records):
+            if name in slots:
+                raise _Reject(f"ambiguous tensor name {name!r}")
+            slot = slots[name] = len(slots)
             record_of[slot] = (ui, ri)
     first_boundary = len(slots)
     for ui, name in enumerate(unit_names):
@@ -316,23 +315,26 @@ def _certify(
             raise _Reject(f"ambiguous tensor name {bname!r}")
         slots[bname] = first_boundary + ui
 
-    # ---- verify the charge program against the recorded charge stream
+    # ---- lift the charge program from the recorded charge stream: each
+    # charge resolves, once, to the time it stands for — a column of its
+    # unit's times, or a constant of the world class — and must equal that
+    # value exactly at the certification size
     ut = model.unit_times(executor.device, batch)
-    if len(prog) != len(charges):
-        raise _Reject("charge program length diverged")
-    for (name, idx), charge in zip(prog, charges):
-        if name != charge.component:
-            raise _Reject("charge program order diverged")
-        if name == "bwd":
-            v = ut[idx][1]
-        elif name == "upkeep":
-            v = upkeep_rate * len(profiles[idx].activations)
-        elif name == "optimizer":
+    prog = []
+    for charge in charges:
+        name, ui = charge.component, charge.unit
+        col = _TIME_COLUMN.get(name)
+        if name == "optimizer" and ui is None:
             v = executor._optimizer_time()
-        else:
-            v = ut[idx][0]
+        elif name == "upkeep" and ui is not None:
+            v = upkeep_rate * len(layout[ui][0])
+        elif col is not None and ui is not None:
+            v = ut[ui][col]
+        else:  # swap_stall, eviction_search, or time no unit accounts for
+            raise _Reject(f"{name!r} charge is not a function of (unit, shape)")
         if v != charge.seconds:
             raise _Reject("charge value is not a pure function of the plan")
+        prog.append((name, ui, col, v))
 
     # ---- lift the op log into the symbolic alloc/free program
     req_index: list[int] = []
@@ -372,24 +374,22 @@ def _certify(
         if slot in record_of:
             ui, ri = record_of[slot]
             lst = first_rec_ops.setdefault(ui, [])
-            if len(lst) < len(profiles[ui].activations):
+            if len(lst) < len(layout[ui][0]):
                 if ri != len(lst):
                     raise _Reject("activation records allocated out of order")
                 lst.append(kk)
-    measure_units = [idx for name, idx in prog if name == "collect"]
+    measure_units = [ui for name, ui, _col, _v in prog if name == "collect"]
     measurements = record.stats.measurements
     if len(measure_units) != len(measurements):
         raise _Reject("measurement count diverged")
     measure_spec = []
     for meas, ui in zip(measurements, measure_units):
-        acts = profiles[ui].activations
+        records, promoted = layout[ui]
         lst = first_rec_ops.get(ui, [])
-        if len(lst) != len(acts):
+        if len(lst) != len(records):
             raise _Reject("measured unit never fully materialised")
-        keep = len(acts) - 1 if layout[ui][1] else len(acts)
-        req_idx = tuple(
-            lst[ri] for ri in range(keep) if acts[ri].saved
-        )
+        keep = len(records) - 1 if promoted else len(records)
+        req_idx = tuple(lst[ri] for ri in range(keep) if records[ri][1])
         saved0 = sum(b0[kk] for kk in req_idx)
         if meas.unit_name != unit_names[ui] or meas.saved_bytes != saved0:
             raise _Reject("measurement is not a sum of saved allocations")
@@ -403,7 +403,7 @@ def _certify(
         unit_names=unit_names,
         layout=layout,
         upkeep_rate=upkeep_rate,
-        charge_prog=prog,
+        charge_prog=tuple(prog),
         measure_spec=tuple(measure_spec),
         start_in_use=signature[0],
         const_stats=record.stats,
@@ -441,7 +441,8 @@ def _certify(
 
 
 class CompiledCache:
-    """Bounded LRU of :class:`CompiledTemplate` keyed by world class.
+    """Bounded LRU of :class:`CompiledTemplate` keyed by world class, at
+    most :data:`MAX_TEMPLATES` of them.
 
     The middle tier of the executor's lookup ladder.  Consulted only
     after an exact replay miss, for iterations that carry a
@@ -450,10 +451,7 @@ class CompiledCache:
     class not yet certified (or already proven uncertifiable).
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._templates: OrderedDict[CompiledKey, CompiledTemplate] = (
             OrderedDict()
         )
@@ -555,6 +553,6 @@ class CompiledCache:
             return
         self._templates[key] = template
         self._templates.move_to_end(key)
-        if len(self._templates) > self.max_entries:
+        if len(self._templates) > MAX_TEMPLATES:
             self._templates.popitem(last=False)
         self.certifications += 1

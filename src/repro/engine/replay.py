@@ -12,9 +12,11 @@ to a recorded one.  The proof is the :class:`ReplayKey`:
 
 * the plan decision's execution mode and the plan's *canonical*
   :class:`~repro.planners.base.ActionAssignment` (per-unit actions plus
-  segment grouping) together with the plan label and prediction — two
-  decisions whose plans assign the same actions key identically no
-  matter which planner structures built them;
+  segment grouping) together with the plan label — two decisions whose
+  plans assign the same actions key identically no matter which planner
+  structures built them (the plan's predicted peak is not part of the
+  key: no simulation reads it, and served stats take it from the
+  current decision);
 * the exact batch shape and dtype;
 * the allocator's behavioural :meth:`~repro.tensorsim.allocator
   .CachingAllocator.state_signature` at iteration start (reserved
@@ -63,20 +65,24 @@ from repro.planners.base import PlanDecision
 if TYPE_CHECKING:
     from repro.planners.base import ActionAssignment, ExecutionMode
 
+#: LRU capacity of a :class:`ReplayCache`: distinct (plan, shape,
+#: allocator-state) worlds worth remembering; steady-state runs need one
+#: entry per recurring batch shape
+MAX_RECORDS = 1024
+
 
 class ReplayKey(NamedTuple):
     """Typed iteration-world fingerprint (see module docstring).
 
     Shared by the replay tier and the compiled tier: replay requires the
     *whole* key to recur; the compiled tier derives its coarser world-class
-    key from the same fields (dropping shape/prediction, which it treats
+    key from the same fields (dropping the shape, which it treats
     symbolically).
     """
 
     mode: "ExecutionMode"
     assignment: "ActionAssignment"
     label: str
-    predicted_peak_bytes: int
     shape: tuple
     dtype: str
     signature: tuple
@@ -109,18 +115,10 @@ class ReplayRecord:
 
 
 class ReplayCache:
-    """Bounded LRU of :class:`ReplayRecord` keyed by iteration world.
+    """Bounded LRU of :class:`ReplayRecord` keyed by iteration world, at
+    most :data:`MAX_RECORDS` of them."""
 
-    Args:
-        max_entries: LRU capacity (distinct (plan, shape, allocator-state)
-            worlds worth remembering; steady-state runs need one entry per
-            recurring batch shape).
-    """
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._records: OrderedDict[ReplayKey, ReplayRecord] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -146,7 +144,6 @@ class ReplayCache:
             mode=decision.mode,
             assignment=decision.plan.assignment,
             label=decision.plan.label,
-            predicted_peak_bytes=decision.plan.predicted_peak_bytes,
             shape=batch.shape,
             dtype=batch.dtype,
             signature=allocator_signature,
@@ -165,7 +162,7 @@ class ReplayCache:
     def store(self, key: ReplayKey, record: ReplayRecord) -> None:
         self._records[key] = record
         self._records.move_to_end(key)
-        if len(self._records) > self.max_entries:
+        if len(self._records) > MAX_RECORDS:
             self._records.popitem(last=False)
 
     def invalidate(self) -> None:

@@ -56,23 +56,6 @@ class MemoryTimeline:
 
     # ------------------------------------------------------------- replay API
 
-    def mark(self) -> int:
-        """Current point count — pass to :meth:`relative_since` later."""
-        return len(self.points)
-
-    def relative_since(
-        self, mark: int, base_time: float
-    ) -> tuple[tuple[float, int, int, str], ...]:
-        """Points recorded since ``mark`` as deltas from ``base_time``.
-
-        The iteration replay cache stores these so a replayed iteration
-        can re-emit the same samples shifted to the current clock.
-        """
-        return tuple(
-            (p.time - base_time, p.bytes_in_use, p.bytes_reserved, p.phase)
-            for p in self.points[mark:]
-        )
-
     def record_relative(
         self,
         base_time: float,
