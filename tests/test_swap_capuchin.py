@@ -68,6 +68,23 @@ def test_swapped_unit_stalls_when_link_is_slow():
     assert swapped.end_in_use == ex.static_bytes
 
 
+def test_swap_stall_does_not_depend_on_the_run_clock():
+    """The copy engine times transfers on the iteration's own clock, so
+    one swapping iteration has the same stats wherever the run's clock
+    stands — the replay tier serves a world on the promise that its stats
+    are a function of the world alone."""
+    model = make_tiny_model(num_units=6, features=512)
+    batch = BatchInput((2048, 512), FLOAT32)
+    decision = PlanDecision(swap_plan([], [model.units[0].name]))
+    stats = []
+    for start in (0.0, 3.0, 1000.0, 2.0**20 + 0.1):
+        ex = make_executor(model, device=DeviceModel(SLOW_LINK))
+        ex.clock.reset(start)
+        stats.append(ex.run_iteration(batch, decision))
+    assert stats[0].swap_stall_time > 0
+    assert all(s == stats[0] for s in stats)
+
+
 def test_swap_reduces_peak_when_transfers_complete():
     """With a fast link and slow compute, swap-outs complete during the
     forward pass and the peak drops like checkpointing."""
