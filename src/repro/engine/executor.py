@@ -312,17 +312,13 @@ class TrainingExecutor:
         cache = self.replay
         if cache is None:
             return None
-        # A history-dependent (reactive) iteration bypasses without
-        # invalidating, even inside a fault window or a recovery attempt.
-        perturbed = strategy.replayable and (
+        # Every mode is keyed: a pass that turns out history-dependent
+        # (a reactive eviction) is only kept from being recorded.
+        perturbed = (
             bool(decision.recovery_mode)  # the ladder moved the reserves
             or (self.faults is not None and not self.faults.quiet())
         )
-        if (
-            perturbed
-            or not strategy.replayable
-            or not strategy.allows_replay(self)  # e.g. stateful noise stream
-        ):
+        if perturbed or not strategy.allows_replay(self):  # e.g. noisy COLLECT
             cache.bypasses += 1
             if self.compiled is not None:
                 self.compiled.bypasses += 1
@@ -455,11 +451,12 @@ class TrainingExecutor:
             return stats
         if (
             replay_key is not None
+            and not strategy.history_dependent
             and self._state_signature() == replay_key.signature
         ):
-            # Steady state proven: the iteration left the allocator exactly
-            # as it found it, so replaying it later is indistinguishable
-            # from re-simulating it.
+            # Steady state proven: the iteration depended on its world
+            # alone and left the allocator exactly as it found it, so
+            # replaying it later is indistinguishable from re-simulating it.
             record = ReplayRecord(
                 stats=replace(stats, planning_time=0.0),
                 sim_time=self.clock.now - sim_start,
@@ -469,7 +466,8 @@ class TrainingExecutor:
             if self.compiled is not None:
                 # one-off certification attempt for this world class
                 self.compiled.maybe_certify(
-                    self, batch, decision, replay_key, record, ops, charges
+                    self, batch, decision, replay_key, record, ops, charges,
+                    strategy.peak_limit(self),
                 )
         return stats
 

@@ -7,7 +7,7 @@ deterministic.  Re-running the tensor-level allocator/clock loop for such
 an iteration only re-derives numbers that are already known.  This module
 memoizes them.
 
-An iteration is replayable only when its world is **provably** identical
+An iteration is replayed only when its world is **provably** identical
 to a recorded one.  The proof is the :class:`ReplayKey`:
 
 * the plan decision's execution mode and the plan's *canonical*
@@ -23,19 +23,25 @@ to a recorded one.  The proof is the :class:`ReplayKey`:
   segments, free-block cache in order, accounting totals);
 * whether a memory timeline is being recorded.
 
-A record is stored only for iterations that (a) completed without OOM and
-(b) left the allocator in exactly the state they found it (steady state) —
-so serving the record and skipping execution leaves the world in the same
-state full simulation would have.  On a hit the executor replays the
+A record is stored only for iterations that (a) completed without OOM,
+(b) left the allocator in exactly the state they found it (steady state)
+and (c) read nothing outside their world — so serving the record and
+skipping execution leaves the world in the same state full simulation
+would have.  On a hit the executor replays the
 recorded :class:`~repro.engine.stats.IterationStats` and (optionally) the
 memory-timeline deltas, advancing the simulated clock by the recorded
 iteration time.
 
 Never replayed, by construction:
 
-* **REACTIVE** iterations — DTR's eviction decisions depend on runtime
-  history (tensor staleness), so two same-shape iterations are not the
-  same world even when the allocator signature matches;
+* **REACTIVE** iterations that **evict** — DTR's victim choice reads
+  runtime history (tensor staleness, the run's clock), so such a pass
+  marks itself history-dependent
+  (:attr:`~repro.engine.strategies.ExecutionStrategy.history_dependent`)
+  just before it asks the planner, and is not recorded.  A REACTIVE pass
+  that never asks depends only on its world — the same world makes the
+  same allocations, which meet the same budget checks, so it never asks
+  on replay either — and is recorded and served like a NORMAL one;
 * iterations inside a **fault window** (fragmentation spike, transient
   allocation failure, or measurement noise active) — the injector
   perturbs the world, and the whole cache is invalidated so pre-fault
@@ -122,8 +128,9 @@ class ReplayCache:
         self._records: OrderedDict[ReplayKey, ReplayRecord] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: eligible iterations skipped because the world was perturbed
-        #: (fault window, recovery attempt, reactive mode)
+        #: iterations not keyed because the world was perturbed (fault
+        #: window, recovery attempt) or the strategy vetoed replay (noisy
+        #: COLLECT)
         self.bypasses = 0
         #: number of times the cache was wholesale invalidated
         self.invalidations = 0

@@ -392,21 +392,28 @@ class ExecutionStrategy:
 
     Instances are created fresh per iteration by :func:`strategy_for`, so
     subclasses may keep per-iteration state (segment groups, evictable
-    pools) as plain attributes.  A replayable strategy's order of
-    allocations and charges must depend only on the plan and the record
-    layout, because the compiled tier (:mod:`repro.engine.compiled`)
-    lifts both from one recorded pass and serves them at other sizes.
+    pools) as plain attributes.  Unless a pass marks itself
+    :attr:`history_dependent`, its order of allocations and charges must
+    depend only on the plan and the record layout, because the compiled
+    tier (:mod:`repro.engine.compiled`) lifts both from one recorded pass
+    and serves them at other sizes.
     """
 
     #: the :class:`ExecutionMode` this strategy implements
     mode: ClassVar[ExecutionMode]
-    #: False when iterations are history-dependent and must never be
-    #: served from the replay cache (see engine.replay)
-    replayable: ClassVar[bool] = True
+    #: this pass's verdict: set once it reads state outside its world
+    #: (runtime history, the run's clock); such a pass is neither
+    #: recorded for replay nor certified (see engine.replay)
+    history_dependent: bool = False
 
     def allows_replay(self, executor: "TrainingExecutor") -> bool:
         """Per-executor replay veto (e.g. a stateful noise RNG stream)."""
         return True
+
+    def peak_limit(self, executor: "TrainingExecutor") -> Optional[int]:
+        """In-use bytes a pass served at another size must stay within,
+        or None when any placed peak is fine."""
+        return None
 
     def begin(self, ctx: IterationContext) -> None:
         """Validate/stage per-iteration structures before any allocation."""
@@ -651,16 +658,25 @@ class CollectStrategy(ExecutionStrategy):
 class ReactiveStrategy(ExecutionStrategy):
     """DTR semantics: keep everything, evict on demand via the planner.
 
-    Eviction decisions depend on runtime history (tensor staleness), so
-    two same-shape iterations are not the same world — ``replayable``
-    is False and the replay cache always bypasses this mode.
+    Eviction decisions depend on runtime history (tensor staleness, the
+    run's clock), so a pass marks itself :attr:`history_dependent` just
+    before it asks the planner for a victim.  A pass that never asks
+    depends only on its world — the same world makes the same
+    allocations, which meet the same budget checks — and is recorded and
+    served like any other.  At another size it is served only while its
+    peak stays within the logical budget (:meth:`peak_limit`).
     """
 
     mode = ExecutionMode.REACTIVE
-    replayable = False
 
     def __init__(self) -> None:
         self.evictable: dict[str, UnitRuntime] = {}
+
+    def peak_limit(self, executor: "TrainingExecutor") -> Optional[int]:
+        # A budget check adds an allocation's raw bytes to the in-use
+        # bytes before it; in-use after the allocation is at least that
+        # sum, so a placed peak within the budget meets no check.
+        return executor.planner.budget_bytes
 
     def run_forward(self, ctx: IterationContext) -> None:
         for ui, unit in enumerate(ctx.model.units):
@@ -728,6 +744,8 @@ class ReactiveStrategy(ExecutionStrategy):
         pool = {k: g for k, g in pool.items() if g.nbytes > 0}
         if not pool:
             return False
+        # the policy reads staleness and the run's clock
+        self.history_dependent = True
         victim, search_t = ctx.planner.on_oom(requested, pool, ctx.clock.now)
         ctx.charge("eviction_search", search_t)
         if victim is None:

@@ -74,6 +74,8 @@ class _ShapeMemo:
     sizes: Optional[array] = None
     #: device preset -> per-unit (forward, backward) seconds
     times: dict = field(default_factory=dict)
+    #: compiled program key -> its placement of ``sizes``
+    placements: dict = field(default_factory=dict)
 
 
 class SegmentedModel:
@@ -82,12 +84,13 @@ class SegmentedModel:
     A model is immutable once built: nothing writes to it after
     construction.  Its only state is memoised derived data — the per-unit
     profile memo, the per-shape memo behind :meth:`profiles`,
-    :meth:`record_layout`, :meth:`request_sizes` and :meth:`unit_times`,
-    the per-(device preset, unit, input spec) unit-time memo and the
-    parameter count — each a pure function of the architecture, the input
-    spec and (for times) the device preset.  One model can therefore serve
-    every run of a task, and a worker process that inherits a warm model
-    computes exactly what a cold one would.
+    :meth:`record_layout`, :meth:`request_sizes`, :meth:`unit_times` and
+    :meth:`placements`, the per-(device preset, unit, input spec)
+    unit-time memo and the parameter count — each a pure function of the
+    architecture, the input spec and (for times) the device preset (for
+    placements, of the compiled program that keys them).  One model can
+    therefore serve every run of a task, and a worker process that
+    inherits a warm model computes exactly what a cold one would.
 
     Args:
         name: model identifier (e.g. ``"bert-base"``).
@@ -207,6 +210,11 @@ class SegmentedModel:
             times = memo.times[device.preset] = tuple(out)
         return times
 
+    def placements(self, batch: BatchInput) -> dict:
+        """The compiled tier's placements of :meth:`request_sizes` at this
+        shape, keyed by program (:mod:`repro.engine.compiled` fills it)."""
+        return self._shape(batch).placements
+
     def unit_names(self) -> list[str]:
         return [u.name for u in self.units]
 
@@ -264,7 +272,8 @@ class SegmentedModel:
         )
 
     def clear_caches(self) -> None:
-        """Drop every memo: unit profiles, per-shape entries, unit times."""
+        """Drop every memo: unit profiles, per-shape entries (placements
+        included), unit times."""
         for unit in self.units:
             unit.clear_profile_cache()
         self._shapes.clear()

@@ -3,10 +3,10 @@
 
 The file pins the deterministic work of two reduced runs (see
 ``tests/test_work_counters.py``): tier splits, cache counters, allocator
-and free-list operations, bus emits per event type and unit traces.  A
-behaviour-preserving refactor must leave it unchanged.  Only regenerate
-it for a change that alters the work on purpose, and state the delta and
-the reason with the change.
+and free-list operations, compiled placements, bus emits per event type
+and unit traces.  A behaviour-preserving refactor must leave it
+unchanged.  Only regenerate it for a change that alters the work on
+purpose, and state the delta and the reason with the change.
 
 Usage::
 

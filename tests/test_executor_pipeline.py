@@ -9,8 +9,8 @@ Three layers of protection for the phase-structured executor:
 2. **Event bus** — subscription-order dispatch, typed filtering,
    unsubscribe semantics and the ``wants()`` hot-path guard.
 3. **Strategy dispatch** — mode → strategy registry behaviour, per-call
-   instance freshness, and the replay-eligibility flags the executor's
-   bypass ladder reads.
+   instance freshness, the per-pass verdict that keeps a pass out of the
+   replay cache, and the replay veto the executor's bypass ladder reads.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.engine.events import (
     OomHit,
     TimeCharged,
 )
+from repro.engine import executor as executor_mod
 from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import RunResult
 from repro.engine.strategies import (
@@ -40,16 +41,20 @@ from repro.engine.strategies import (
 )
 from repro.experiments.runner import run_task, sweep
 from repro.experiments.tasks import GB, load_task
+from repro.models.base import BatchInput
 from repro.planners.base import (
     ActionAssignment,
     CheckpointPlan,
     ExecutionMode,
+    ModelView,
     PlanDecision,
 )
+from repro.planners.dtr import DTRPlanner
 from repro.planners.none import NoCheckpointPlanner
+from repro.tensorsim.dtypes import FLOAT32
 from repro.tensorsim.faults import FaultPlan
 
-from tests.helpers import make_tiny_model
+from tests.helpers import MB, make_tiny_model
 from tests.helpers_digest_grid import digest_grid, run_grid_point_result
 
 _DATA = pathlib.Path(__file__).parent / "data"
@@ -239,10 +244,39 @@ def test_strategy_for_returns_fresh_instances():
     assert strategy_for(d) is not strategy_for(d)
 
 
-def test_replayable_flags():
-    assert NormalStrategy.replayable
-    assert CollectStrategy.replayable
-    assert not ReactiveStrategy.replayable
+def test_history_dependent_is_a_per_pass_verdict(monkeypatch):
+    """Every pass starts world-determined; a reactive pass turns
+    history-dependent only when it asks the planner for a victim, and
+    only such a pass is kept out of the replay cache."""
+    for mode in ExecutionMode:
+        assert not strategy_for(_decision(mode)).history_dependent
+    passes: list[ExecutionStrategy] = []
+
+    def recording_strategy_for(decision):
+        passes.append(strategy_for(decision))
+        return passes[-1]
+
+    monkeypatch.setattr(executor_mod, "strategy_for", recording_strategy_for)
+    model = make_tiny_model(num_units=8, features=512)
+    budget = model.static_memory().total + 24 * MB
+    planner = DTRPlanner(budget)
+    planner.setup(ModelView(model))
+    executor = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
+    large, small = (BatchInput((n, 512), FLOAT32) for n in (1024, 64))
+    executor.step(large)  # reserves the segments every later pass reuses
+    for batch, evicts in ((large, True), (small, False)):
+        start = executor.allocator.state_signature()
+        records = len(executor.replay)
+        stats = executor.step(batch)
+        assert executor.allocator.state_signature() == start  # steady
+        assert (stats.evictions > 0) is evicts
+        assert passes[-1].history_dependent is evicts
+        assert len(executor.replay) == records + (not evicts)
+    executor.step(small)
+    assert executor.replay.hits == 1  # the recorded world replays
+    assert passes[-1].peak_limit(executor) == budget
+    assert NormalStrategy().peak_limit(executor) is None
+    assert CollectStrategy().peak_limit(executor) is None
 
 
 def test_collect_replay_gated_on_noise_rng():

@@ -5,7 +5,8 @@ The contract under test everywhere: the fast paths are *pure*
 optimisations.  Replayed iterations and parallel sweeps must be
 bit-identical to full simulation (``RunResult.digest`` excludes only the
 genuinely wall-clock ``planning_time``), and the never-replay rules
-(REACTIVE mode, fault windows, recovery) must hold unconditionally.
+(evicting REACTIVE passes, fault windows, recovery) must hold
+unconditionally.
 """
 
 import numpy as np
@@ -111,17 +112,30 @@ def test_replay_gets_hits_on_recurring_shapes():
     assert executor.replay.hit_rate > 0.5
 
 
-def test_reactive_mode_never_replayed():
+def test_eviction_free_reactive_run_is_served():
+    """A DTR run that never evicts depends only on its worlds: both fast
+    paths serve it, and it equals a run with both tiers off."""
     task = load_task("TC-Bert", iterations=8, seed=0)
     stream = [b for b in task.loader] * 5
-    model = task.model
-    planner = make_planner("dtr", 5 * GB, task)
-    planner.setup(ModelView(model))
-    executor = TrainingExecutor(model, planner, capacity_bytes=32 * GB)
-    for batch in stream:
-        executor.step(batch)
-    assert executor.replay.hits == 0
-    assert executor.replay.bypasses == len(stream)
+
+    def run(replay):
+        model = task.model
+        planner = make_planner("dtr", 5 * GB, task)
+        planner.setup(ModelView(model))
+        executor = TrainingExecutor(
+            model, planner, capacity_bytes=32 * GB, replay=replay
+        )
+        result = RunResult(task.spec.abbr, "dtr", 5 * GB)
+        for batch in stream:
+            result.append(executor.step(batch))
+        return result, executor
+
+    served, executor = run(replay=True)
+    full, _ = run(replay=False)
+    assert not any(s.evictions for s in served.iterations)
+    assert executor.replay.hits > 0 and executor.compiled.hits > 0
+    assert executor.replay.bypasses == 0
+    assert served.digest() == full.digest()
 
 
 def test_fault_windows_bypass_and_invalidate():

@@ -167,7 +167,11 @@ def test_clear_caches(bert_model):
     # memoised per shape: the same objects until the caches are cleared
     assert bert_model.profiles(batch) is first
     assert bert_model.unit_times(device, batch) is derived[2]
+    placements = bert_model.placements(batch)
+    placements[b"program"] = (0, ())
+    assert bert_model.placements(batch) is placements
     bert_model.clear_caches()
+    assert bert_model.placements(batch) == {}
     again = bert_model.profiles(batch)
     # every unit is traced again, to equal profiles in new objects
     assert again is not first and again == first

@@ -2,16 +2,19 @@
 
 A :class:`~repro.experiments.tasks.TaskContext` owns one model, and the
 model memoises everything that is a pure function of an input shape: the
-unit traces, the allocator request sizes and the roofline unit times.
-Every run, executor and compiled template of the task shares them, so a
-sweep traces each (unit, input spec) pair once and prices each (device
-preset, unit, input spec) once, however many grid points meet it.
+unit traces, the allocator request sizes, the roofline unit times and
+the compiled tier's placements.  Every run, executor and compiled
+template of the task shares them, so a sweep traces each (unit, input
+spec) pair once, prices each (device preset, unit, input spec) once and
+places each (compiled program, batch) once, however many grid points
+meet it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine.compiled import CompiledTemplate
 from repro.experiments.runner import PLANNER_NAMES, sweep
 from repro.experiments.tasks import load_task
 from repro.graph.module import ProfileContext
@@ -56,6 +59,24 @@ def test_sweep_derives_each_shape_once_per_task(counted):
     # ... and one roofline computation per (preset, unit, input spec)
     assert len(times) == len(set(times)) > 0
     assert {(name, spec) for _, name, spec in times} <= set(traces)
+
+
+def test_sweep_places_each_program_once_per_batch(monkeypatch):
+    """Templates of different grid points (and a template's self-test and
+    first evaluation) with equal programs share one placement per batch:
+    the placement core runs once per distinct input."""
+    placed: list[tuple] = []
+    place = CompiledTemplate._place
+
+    def counting_place(self, rsizes):
+        start = tuple(sorted(self.start_free.items()))
+        placed.append((self.req_index, self.ops, start, tuple(rsizes)))
+        return place(self, rsizes)
+
+    monkeypatch.setattr(CompiledTemplate, "_place", counting_place)
+    task = load_task(TASK, iterations=ITERATIONS, seed=SEED)
+    sweep(task, PLANNER_NAMES, task.default_budgets(2))
+    assert len(placed) == len(set(placed)) > 0
 
 
 def test_parallel_sweep_on_a_cold_task_matches_serial_on_a_warm_one():
