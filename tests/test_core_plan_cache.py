@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan_cache import PlanCache
+from repro.experiments.runner import run_task
+from repro.experiments.tasks import load_task
 from repro.planners.base import ActionAssignment, CheckpointPlan
 
 
@@ -70,14 +72,34 @@ def test_lru_eviction():
     assert len(c) == 2
 
 
-def test_clear_resets_everything():
+def test_clear_drops_entries_and_keeps_counters():
     c = PlanCache()
     c.put(100, plan("a"))
     c.get(100)
+    c.get(200)
     c.clear()
     assert len(c) == 0
-    assert c.hits == 0 and c.misses == 0
+    assert c.hits == 1 and c.misses == 1
     assert c.get(100) is None
+    assert c.hits == 1 and c.misses == 2
+
+
+def test_run_counters_cover_every_responsive_iteration():
+    """A drifting run clears the cache on each of its refits; the run's
+    counters still count every lookup, one per NORMAL iteration, and
+    one miss per generated plan."""
+    task = load_task(
+        "TC-Bert", iterations=300, seed=11, drift_scenario="curriculum"
+    )
+    planners = []
+    result = run_task(
+        task, "mimose", task.default_budgets(4)[1], drift_detection=True,
+        observers=(lambda executor: planners.append(executor.planner),),
+    )
+    assert result.refits > 0
+    normal = sum(1 for s in result.iterations if s.mode == "normal")
+    assert result.plan_cache_hits + result.plan_cache_misses == normal
+    assert result.plan_cache_misses == planners[0].plan_count
 
 
 def test_validation():
