@@ -10,8 +10,8 @@ then extrapolates, and its plans under-reserve.
 The lifecycle controller (`repro.core.lifecycle`) handles this
 online: Page–Hinkley / CUSUM monitors watch the residual and
 input-size streams, and on drift the controller evicts the stale half
-of the collection window, re-collects, refits and flushes every
-fast-path tier.  This script subscribes to the lifecycle events on the
+of the collection window, re-collects, refits and clears the plan
+cache.  This script subscribes to the lifecycle events on the
 executor's bus and prints the resulting timeline: every state
 transition, every monitor firing, every (re)fit.
 
@@ -68,10 +68,10 @@ class LifecycleLog:
             )
         else:
             self.refits += 1
-            flushed = "flushed fast paths" if event.invalidated else "initial"
+            kind = "initial" if event.fit_count == 1 else "refit"
             print(
                 f"  iter {event.iteration:>3}  fit #{event.fit_count} on "
-                f"{event.window_iterations}-iteration window ({flushed})"
+                f"{event.window_iterations}-iteration window ({kind})"
             )
 
 
@@ -118,10 +118,10 @@ def main() -> None:
     )
     print(
         "Each refit retrained the estimator on a re-collected window and\n"
-        "invalidated the replay/compiled tiers — plans after the shift come\n"
-        "from a model fitted on the *new* distribution, not extrapolated\n"
-        "from the old one.  Compare `--static-fit` on the CLI, which\n"
-        "freezes the warm-up fit and OOMs under the same shift."
+        "cleared the plan cache — plans after the shift come from a model\n"
+        "fitted on the *new* distribution, not extrapolated from the old\n"
+        "one.  Compare `--static-fit` on the CLI, which freezes the\n"
+        "warm-up fit and OOMs under the same shift."
     )
     assert log.refits >= 2, "expected at least one online refit under drift"
 

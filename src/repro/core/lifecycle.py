@@ -31,10 +31,11 @@ moved) and a CUSUM over plan-time input sizes (the size *distribution*
 moved).  Either firing sends the machine to ``DRIFTED``: the collector
 evicts the stale head of its window (partial re-collection), the next
 iterations run sheltered until readiness is re-earned, and the refit
-that follows runs the **refit invalidation protocol** — plan cache
-cleared, replay records and compiled templates flushed through the
-executor-bound callback — so no tier can serve results priced off the
-stale fit.
+that follows clears the plan cache, the one cache whose entries carry
+predictions of the stale fit.  The executor's replay records and
+compiled templates survive it: each is keyed by the plan's actions, the
+batch shape and the allocator state, and reads no fit, reserve or
+margin, so a refit changes which plan is picked, never what a plan does.
 
 Everything here is deterministic: the detectors are pure functions of
 the observation stream, no randomness, no host clocks (wall-clock stays
@@ -46,7 +47,7 @@ lifecycle bit-for-bit — the digest-parity goldens pin this.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.adaptive import QuantileTracker, ResidualTracker
 from repro.core.collector import ShuttlingCollector
@@ -138,31 +139,20 @@ class LifecycleController:
         self.drift_events = 0
         self._base_samples: list[tuple[int, int]] = []
         self._bus: Optional[EventBus] = None
-        self._invalidate: Optional[Callable[[], None]] = None
         self._last_observed: Optional[IterationStats] = None
         self._iteration = 0
 
     # ---------------------------------------------------------------- wiring
 
-    def attach(
-        self,
-        bus: EventBus,
-        *,
-        invalidate: Optional[Callable[[], None]] = None,
-    ) -> "LifecycleController":
+    def attach(self, bus: EventBus) -> "LifecycleController":
         """Wire the controller to an executor's event bus.
 
         Subscribes to :class:`~repro.engine.events.IterationObserved`
         (the post-recovery observation stream) and keeps the bus for
-        publishing lifecycle events.  ``invalidate`` is the executor's
-        replay/compiled flush, bound here so the refit invalidation
-        protocol reaches every cache tier without the controller knowing
-        the executor.  The executor calls this automatically for any
-        planner exposing a ``lifecycle`` attribute.
+        publishing lifecycle events.  The executor calls this
+        automatically for any planner exposing a ``lifecycle`` attribute.
         """
         self._bus = bus
-        if invalidate is not None:
-            self._invalidate = invalidate
         bus.subscribe(self, IterationObserved)
         return self
 
@@ -291,7 +281,7 @@ class LifecycleController:
         self.size_monitor.reset()
 
     def _refit(self, reason: str, *, initial: bool = False) -> None:
-        """(Re)fit the estimator and run the invalidation protocol."""
+        """(Re)fit the estimator and drop the plans priced off the old fit."""
         if not initial:
             self._transition(LifecycleState.REFITTING, reason)
         self.estimator.fit(self.collector)
@@ -299,14 +289,8 @@ class LifecycleController:
             sizes = [s for s, _ in self._base_samples]
             peaks = [p for _, p in self._base_samples]
             self.estimator.fit_base(sizes, peaks)
-        # Invalidation protocol: cached plans carry predictions from the
-        # old fit; replay records and compiled templates embed iterations
-        # priced off those plans.  All three tiers flush together.
+        # Cached plans carry predictions from the old fit.
         self.cache.clear()
-        invalidated = False
-        if not initial and self._invalidate is not None:
-            self._invalidate()
-            invalidated = True
         self.fit_count += 1
         if not initial:
             self.refit_count += 1
@@ -321,7 +305,6 @@ class LifecycleController:
                     self._iteration,
                     self.fit_count,
                     self.collector.iterations_collected,
-                    invalidated,
                 )
             )
         self._transition(LifecycleState.FITTED, reason)

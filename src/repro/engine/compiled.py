@@ -18,8 +18,8 @@ The executor's lookup ladder becomes three tiers::
 
 **Eligibility** is exactly the replay proof: the compiled tier is only
 consulted for iterations that produced a :class:`~repro.engine.replay
-.ReplayKey` (so fault windows, recovery attempts and noisy COLLECT
-passes never reach it), and a template is only built from an iteration
+.ReplayKey` (so fault windows and noisy COLLECT passes never reach
+it), and a template is only built from an iteration
 whose record was stored — it round-tripped the allocator signature and
 never read state outside its world (a REACTIVE pass that asked the
 planner for an eviction victim is never recorded).  On top of that the
@@ -65,7 +65,7 @@ free list and the sizes, so it is memoised beside the request vector it
 reads (:meth:`~repro.models.base.SegmentedModel.placements`), keyed by
 the template's packed :attr:`CompiledTemplate.program`: every template
 of the task with an equal program — another world class, another grid
-point, a re-certification after a refit flush — reuses it at that
+point, a re-certification after LRU eviction — reuses it at that
 shape.  The charge program then folds in emission order
 (bit-identical float accumulation) and the measurement spec sums the
 same block sizes the sheltered collector would have observed.  The
@@ -103,8 +103,12 @@ if TYPE_CHECKING:
     from repro.planners.base import PlanDecision
 
 
-#: LRU capacity of a :class:`CompiledCache`, in world classes
-MAX_TEMPLATES = 256
+#: LRU capacity of a :class:`CompiledCache`, in world classes.  Nothing
+#: flushes the cache, so this bound alone retires templates; 32 serves
+#: every hit a bound of 256 serves on the drift-stream benchmark and on
+#: stationary 2000-iteration TC-Bert streams, and keeps a long drifting
+#: run's resident memory at what per-refit flushes used to leave
+MAX_TEMPLATES = 32
 
 #: the column of a unit's (forward, backward) times each per-unit compute
 #: charge stands for: the collector's second forward and a recompute
@@ -528,12 +532,11 @@ class CompiledCache:
         self.misses = 0
         #: eligible iterations not consulted (timeline recording active)
         self.bypasses = 0
-        #: number of times the cache was wholesale invalidated
-        self.invalidations = 0
         #: templates successfully certified
         self.certifications = 0
-        #: world classes proven uncertifiable (never re-tried until
-        #: invalidation)
+        #: world classes proven uncertifiable (never re-tried: every
+        #: reject seen so far is the copy-engine rule, a property of the
+        #: plan, not of the size)
         self.rejects = 0
         #: evaluations that could not serve (infeasible size, structural
         #: drift) and fell back to full simulation
@@ -546,12 +549,6 @@ class CompiledCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def invalidate(self) -> None:
-        """Drop every template *and* every rejection (world changed)."""
-        self._templates.clear()
-        self._rejected.clear()
-        self.invalidations += 1
 
     def serve(
         self,

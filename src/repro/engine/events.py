@@ -266,16 +266,11 @@ class EstimatorRefit:
 
     ``fit_count`` counts every fit including the initial one;
     ``window_iterations`` is the collector window the fit was trained on.
-    ``invalidated`` reports whether the refit invalidation protocol
-    flushed the executor's replay/compiled tiers (always true for drift
-    or re-collection refits, false for the initial fit — there is nothing
-    stale to flush before the first fit exists).
     """
 
     iteration: int
     fit_count: int
     window_iterations: int
-    invalidated: bool
 
 
 # ---------------------------------------------------------------------------

@@ -145,12 +145,11 @@ class TrainingExecutor:
         self._replay_points = ReplayPointRecorder().attach(self.events)
         # A planner exposing a lifecycle controller (MimosePlanner) gets
         # it wired to this executor's bus: the controller consumes the
-        # post-recovery observation stream (IterationObserved), publishes
-        # lifecycle/drift events, and gains the replay/compiled flush for
-        # its refit invalidation protocol.
+        # post-recovery observation stream (IterationObserved) and
+        # publishes lifecycle/drift events.
         lifecycle = getattr(planner, "lifecycle", None)
         if lifecycle is not None:
-            lifecycle.attach(self.events, invalidate=self.invalidate_replay)
+            lifecycle.attach(self.events)
 
     def _allocate_static(self) -> list[Block]:
         static = self.model.static_memory()
@@ -275,14 +274,6 @@ class TrainingExecutor:
                     )
         return self._simulate(batch, decision, iteration, strategy, replay_key)
 
-    def invalidate_replay(self) -> None:
-        """Drop all replay records and compiled templates (external world
-        change, e.g. a planner reserve reconfiguration between iterations)."""
-        if self.replay is not None:
-            self.replay.invalidate()
-        if self.compiled is not None:
-            self.compiled.invalidate()
-
     def _state_signature(self) -> tuple:
         """The allocator signature, cached until the allocator mutates.
 
@@ -306,24 +297,22 @@ class TrainingExecutor:
         strategy: ExecutionStrategy,
     ) -> Optional[ReplayKey]:
         """The replay fingerprint, or None if the iteration must be
-        simulated.  A bypass counts on both tiers; a perturbed world (a
-        recovery attempt or a fault window) also invalidates both.  The
-        counters are public contract (see :mod:`repro.engine.replay`)."""
+        simulated because it reads a perturbation stream (a fault window
+        that is not quiet, or COLLECT under measurement noise).  A bypass
+        counts on both tiers; the counters are public contract (see
+        :mod:`repro.engine.replay`)."""
         cache = self.replay
         if cache is None:
             return None
-        # Every mode is keyed: a pass that turns out history-dependent
-        # (a reactive eviction) is only kept from being recorded.
-        perturbed = (
-            bool(decision.recovery_mode)  # the ladder moved the reserves
-            or (self.faults is not None and not self.faults.quiet())
-        )
-        if perturbed or not strategy.allows_replay(self):  # e.g. noisy COLLECT
+        # Every mode is keyed, recovery attempts included: a pass that
+        # turns out history-dependent (a reactive eviction) is only kept
+        # from being recorded.
+        if (
+            self.faults is not None and not self.faults.quiet()
+        ) or not strategy.allows_replay(self):
             cache.bypasses += 1
             if self.compiled is not None:
                 self.compiled.bypasses += 1
-            if perturbed:  # the world changed under every record
-                self.invalidate_replay()
             return None
         return ReplayCache.key(
             decision,
@@ -443,9 +432,6 @@ class TrainingExecutor:
         stats = self._stats.finalize(ctx, oom)
         self.events.emit(IterationEnd(stats))
         if oom:
-            # reserves/margins will move in response; stale records must
-            # not outlive the pressure event
-            self.invalidate_replay()
             if self.raise_on_oom:
                 raise IterationOOM(stats)
             return stats

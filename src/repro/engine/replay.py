@@ -43,14 +43,18 @@ Never replayed, by construction:
   same allocations, which meet the same budget checks, so it never asks
   on replay either — and is recorded and served like a NORMAL one;
 * iterations inside a **fault window** (fragmentation spike, transient
-  allocation failure, or measurement noise active) — the injector
-  perturbs the world, and the whole cache is invalidated so pre-fault
-  records cannot leak across the perturbation;
-* **recovery** attempts (``PlanDecision.recovery_mode`` set) and any
-  iteration following an OOM — the escalation ladder mutates planner
-  reserves, so the cache is invalidated there too;
+  allocation failure, or measurement noise active) — the pass reads the
+  injector, which its key does not cover;
 * **COLLECT** iterations while measurement noise is configured — the
   noise RNG stream is stateful and must be consumed by real execution.
+
+Nothing else makes a record stale, so nothing flushes the cache; only
+the LRU bound retires records.  A record depends on its key alone: a
+refit, a widened reserve or a recovery rung changes *which* plan the
+planner picks, never what a plan does in a given world; an OOM unwind or
+a fault window leaves the allocator in a state the next key's signature
+records; and a recovery attempt is keyed like any other pass (the ladder
+patches its retry count, rung and charged time in after the pass).
 
 The only stats field that differs between a replayed iteration and a full
 simulation is ``planning_time``: it is genuine wall-clock measured by the
@@ -128,11 +132,12 @@ class ReplayCache:
         self._records: OrderedDict[ReplayKey, ReplayRecord] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: iterations not keyed because the world was perturbed (fault
-        #: window, recovery attempt) or the strategy vetoed replay (noisy
-        #: COLLECT)
+        #: iterations not keyed because they read a perturbation stream
+        #: (a fault window, or the strategy's veto for noisy COLLECT)
         self.bypasses = 0
-        #: number of times the cache was wholesale invalidated
+        #: always 0: records are never flushed (see the module
+        #: docstring); kept because the benchmark harness in
+        #: ``perfbench/`` reads it
         self.invalidations = 0
 
     def __len__(self) -> int:
@@ -171,12 +176,6 @@ class ReplayCache:
         self._records.move_to_end(key)
         if len(self._records) > MAX_RECORDS:
             self._records.popitem(last=False)
-
-    def invalidate(self) -> None:
-        """Drop every record (fault fired, OOM seen, reserves changed)."""
-        if self._records:
-            self._records.clear()
-        self.invalidations += 1
 
     @property
     def hit_rate(self) -> float:

@@ -226,9 +226,10 @@ class PlanDecision:
     (e.g. ``"replan"``, ``"widen-reserve"``, ``"full-checkpoint"``).
 
     The decision is the whole interface between planner and executor:
-    ``mode`` picks the execution strategy, ``plan`` parameterises it, and
-    ``recovery_mode`` additionally disqualifies the iteration from the
-    replay cache (recovery rungs mutate planner state).
+    ``mode`` picks the execution strategy and ``plan`` parameterises it.
+    A recovery rung changes planner state, and with it which plan the
+    planner picks, never what a plan does: a recovery attempt is keyed
+    for replay like any other pass.
     """
 
     plan: CheckpointPlan

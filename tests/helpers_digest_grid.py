@@ -48,9 +48,8 @@ def near_recurrence_grid() -> list[GridPoint]:
     plan signature, so after the first certification the compiled tier
     (not exact replay) serves the new sizes.  Longer runs than the
     replay grid so certification happens early enough to matter; every
-    plan-based planner is covered (DTR is REACTIVE and legitimately
-    bypasses both cache tiers), plus a faulted point to pin the
-    bypass/invalidate interaction.
+    plan-based planner is covered (DTR, which is REACTIVE, is not), plus
+    a faulted point to pin the fault-window bypass.
     """
     points: list[GridPoint] = []
     for planner in (

@@ -5,8 +5,8 @@ near-recurrent iterations (same certified world class, unseen input
 size).  Every served iteration must be bit-identical to full simulation
 (``RunResult.digest`` excludes only the wall-clock ``planning_time``),
 and every situation the eligibility proof does not cover — fault
-windows, recovery, timeline recording, structural drift — must fall
-back to full simulation.
+windows, timeline recording, structural drift — must fall back to full
+simulation.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from tests.helpers import MB, make_tiny_model
 from tests.helpers_digest_grid import near_recurrence_grid, run_grid_point_result
 
 
-def _run(task, planner_name, budget, *, compiled, stream=None, faults=None,
-         max_retries=3):
+def _run(task, planner_name, budget, *, compiled=True, replay=True,
+         stream=None, faults=None, max_retries=3):
     model = task.model
     planner = make_planner(planner_name, budget, task)
     planner.setup(ModelView(model))
@@ -46,7 +46,7 @@ def _run(task, planner_name, budget, *, compiled, stream=None, faults=None,
         capacity_bytes=(
             budget if not planner.requires_physical_capacity else 32 * GB
         ),
-        replay=True,
+        replay=replay,
         compiled=compiled,
         faults=faults.build() if faults is not None else None,
         max_recovery_retries=max_retries,
@@ -224,38 +224,66 @@ def test_every_charge_names_its_unit():
 # ---------------------------------------------------- never-serve fallbacks
 
 
+def _templates_held_through(task, stream, faults, event):
+    """Mimose at 4 GB over ``stream``: the run, its executor and the
+    templates held when iteration ``event`` starts."""
+    model = task.model
+    planner = make_planner("mimose", 4 * GB, task)
+    planner.setup(ModelView(model))
+    executor = TrainingExecutor(
+        model, planner, capacity_bytes=4 * GB, faults=faults.build()
+    )
+    result = RunResult(task.spec.abbr, "mimose", 4 * GB)
+    held = {}
+    for i, batch in enumerate(stream, 1):
+        if i == event:
+            held = dict(executor.compiled._templates)
+        result.append(executor.step(batch))
+    return result, executor, held
+
+
 def test_fault_window_bypasses_compiled_tier():
-    """Iterations inside a fault window bypass + invalidate the compiled
-    cache exactly as they do the replay cache, and stay bit-identical."""
+    """Iterations inside a fault window bypass the compiled tier as they
+    do the replay tier, flush nothing, and stay bit-identical."""
     faults = FaultPlan.parse("frag:start=20,iters=3,bytes=1G", seed=3)
     task = load_task("TC-Bert", iterations=8, seed=0)
     stream = [b for b in task.loader] * 10
-    with_compiled, executor = _run(
-        task, "mimose", 4 * GB, compiled=True, stream=stream, faults=faults
+    with_compiled, executor, held = _templates_held_through(
+        task, stream, faults, 20
     )
     without, _ = _run(
         task, "mimose", 4 * GB, compiled=False, stream=stream, faults=faults
     )
-    assert with_compiled.digest() == without.digest()
-    assert executor.compiled.bypasses > 0
-    assert executor.compiled.invalidations > 0
+    full, _ = _run(
+        task, "mimose", 4 * GB, replay=False, stream=stream, faults=faults
+    )
+    assert with_compiled.digest() == without.digest() == full.digest()
+    assert executor.compiled.bypasses == executor.replay.bypasses == 3
+    assert held
+    assert all(executor.compiled._templates.get(k) is t for k, t in held.items())
 
 
-def test_recovery_rung_invalidates_compiled_cache():
-    """An iteration rescued by the recovery ladder must not be served
-    from (and must invalidate) the compiled cache."""
+def test_recovery_retry_is_keyed():
+    """The retry of a transient-failure recovery reads no fault stream:
+    it is keyed like any other pass, so only the failing first attempt
+    bypasses, and the templates held before the OOM stay."""
     faults = FaultPlan.parse("alloc:start=14,count=1,min=1M", seed=3)
     task = load_task("TC-Bert", iterations=8, seed=0)
     stream = [b for b in task.loader] * 6
-    with_compiled, executor = _run(
-        task, "mimose", 4 * GB, compiled=True, stream=stream, faults=faults
+    with_compiled, executor, held = _templates_held_through(
+        task, stream, faults, 14
     )
     without, _ = _run(
         task, "mimose", 4 * GB, compiled=False, stream=stream, faults=faults
     )
+    full, _ = _run(
+        task, "mimose", 4 * GB, replay=False, stream=stream, faults=faults
+    )
     assert with_compiled.total_retries > 0  # the ladder actually ran
-    assert with_compiled.digest() == without.digest()
-    assert executor.compiled.invalidations > 0
+    assert with_compiled.digest() == without.digest() == full.digest()
+    assert executor.replay.bypasses == executor.compiled.bypasses == 1
+    assert held
+    assert all(executor.compiled._templates.get(k) is t for k, t in held.items())
 
 
 def test_structural_drift_falls_back_and_deletes_template():
@@ -372,38 +400,6 @@ def test_reactive_template_falls_back_over_the_budget():
     assert list(cache._templates.values()) == [template]
     without, _ = run(compiled=False)
     assert result.digest() == without.digest()
-
-
-def test_placements_survive_invalidate_replay(monkeypatch):
-    """A flush drops every template and record but no placement: the
-    templates re-certified after it place nothing anew."""
-    task = load_task("TC-Bert", iterations=8, seed=0)
-    stream = [b for b in task.loader] * 3
-    model = task.model
-    planner = make_planner("sublinear", 4 * GB, task)
-    planner.setup(ModelView(model))
-    executor = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
-    for batch in stream:
-        executor.step(batch)
-    placements = {b: dict(model.placements(b)) for b in set(stream)}
-    assert any(placements.values())
-    executor.invalidate_replay()
-    assert len(executor.compiled) == len(executor.replay) == 0
-    assert {b: model.placements(b) for b in placements} == placements
-    placed = []
-    place = compiled_mod.CompiledTemplate._place
-
-    def counting_place(self, rsizes):
-        placed.append(rsizes)
-        return place(self, rsizes)
-
-    monkeypatch.setattr(compiled_mod.CompiledTemplate, "_place", counting_place)
-    certifications = executor.compiled.certifications
-    for batch in stream:
-        executor.step(batch)
-    assert executor.compiled.certifications > certifications
-    assert executor.compiled.hits > 0
-    assert placed == []
 
 
 def test_placement_memo_keys_the_starting_free_list():

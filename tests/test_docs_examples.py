@@ -1,6 +1,6 @@
 """The documentation must not rot: every Python block in
-docs/walkthrough.md executes, and every example script parses and shows
---help without crashing."""
+docs/walkthrough.md executes, every example script parses and shows
+--help without crashing, and the drift example runs end to end."""
 
 import pathlib
 import re
@@ -51,6 +51,18 @@ def test_example_scripts_show_help(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout.lower()
+
+
+def test_drift_example_runs_end_to_end():
+    """The drift example asserts at least one online refit itself."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / "drift_replanning.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "online refits" in proc.stdout
 
 
 def test_examples_exist():

@@ -1,5 +1,5 @@
 """Lifecycle controller: state machine, drift detectors, windowed collector,
-and the refit invalidation protocol."""
+and the refit's plan-cache flush."""
 
 from __future__ import annotations
 
@@ -305,14 +305,13 @@ def test_static_fit_never_recollects():
 def test_residual_drift_walks_the_full_state_cycle():
     bus = EventBus()
     recorder = Recorder()
-    invalidations = []
     c = make_controller(
         drift_detection=True,
         residual_detector=PageHinkleyDetector(
             threshold=0.1, min_observations=2
         ),
     )
-    c.attach(bus, invalidate=lambda: invalidations.append(True))
+    c.attach(bus)
     recorder.attach(bus, LifecycleTransition, DriftDetected, EstimatorRefit)
     it = fit_controller(c)
     # healthy monitoring: predictions match reality
@@ -336,10 +335,8 @@ def test_residual_drift_walks_the_full_state_cycle():
         it += 1
     assert c.state is LifecycleState.FITTED
     assert c.refit_count == 1
-    # the refit ran the invalidation protocol through the bound callback
-    assert invalidations == [True]
-    refits = recorder.of(EstimatorRefit)
-    assert refits and refits[-1].invalidated
+    # the initial fit and the refit were both published
+    assert [e.fit_count for e in recorder.of(EstimatorRefit)] == [1, 2]
     # and the machine passed through REFITTING on the way back
     visited = [t.current for t in recorder.of(LifecycleTransition)]
     assert "drifted" in visited and "refitting" in visited

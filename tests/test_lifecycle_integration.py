@@ -2,10 +2,9 @@
 
 Pins the two determinism contracts the online-replanning path must keep:
 
-* a refit mid-run flushes the replay/compiled tiers through the
-  executor-bound invalidation callback, and the flush is digest-neutral
-  (the fast-path tiers are bit-identical to full simulation by
-  construction, so only *how fast* iterations are served may change);
+* a refit mid-run clears the plan cache and keeps the replay/compiled
+  tiers, whose entries read no fit, and the run stays bit-identical to
+  full simulation;
 * parallel sweeps stay byte-identical to serial ones under every
   non-stationary input scenario, exactly as on stationary workloads.
 
@@ -19,8 +18,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.lifecycle import LifecycleController
 from repro.data.datasets import DRIFT_SCENARIOS
-from repro.engine.events import EstimatorRefit
+from repro.engine import compiled as compiled_mod
+from repro.engine.compiled import CompiledKey
 from repro.engine.stats import RunResult
 from repro.experiments.runner import run_task, sweep
 from repro.experiments.tasks import GB, load_task
@@ -42,18 +43,6 @@ def assert_same_run(a: RunResult, b: RunResult, context: str) -> None:
     )
 
 
-class RefitRecorder:
-    def __init__(self):
-        self.events: list[EstimatorRefit] = []
-
-    def attach(self, bus) -> "RefitRecorder":
-        bus.subscribe(self, EstimatorRefit)
-        return self
-
-    def __call__(self, event: EstimatorRefit) -> None:
-        self.events.append(event)
-
-
 def drift_run(scenario: str, seed: int = 0, **kwargs) -> RunResult:
     task = load_task(
         TASK, iterations=ITERATIONS, seed=seed, drift_scenario=scenario
@@ -68,18 +57,72 @@ def drift_run(scenario: str, seed: int = 0, **kwargs) -> RunResult:
     )
 
 
-def test_refit_mid_run_invalidates_fastpath_tiers():
-    recorder = RefitRecorder()
-    result = drift_run(
-        "regime-switch", observers=[lambda ex: recorder.attach(ex.events)]
+def _fast_path_state(executor) -> tuple[list, list, list]:
+    """Every replay record, compiled template and placement held."""
+    return (
+        list(executor.replay._records.values()),
+        list(executor.compiled._templates.values()),
+        [
+            placement
+            for memo in executor.model._shapes.values()
+            for placement in memo.placements.values()
+        ],
     )
-    # The regime switch forces at least one mid-run refit...
-    assert result.refits >= 1
-    assert result.refits == sum(1 for e in recorder.events if e.invalidated)
-    # ...and every refit ran the full invalidation protocol (the initial
-    # fit, which precedes any replay/compiled entries, never does).
-    initial = [e for e in recorder.events if not e.invalidated]
-    assert len(initial) == 1
+
+
+def _same_objects(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _full_simulation(executor) -> None:
+    """Observer: both fast-path tiers off, every iteration simulated."""
+    executor.replay = executor.compiled = None
+
+
+def test_refit_mid_run_keeps_fastpath_tiers(monkeypatch):
+    """A refit clears the plan cache and nothing else: a replay record or
+    compiled template depends only on its key, which reads no fit.  Run
+    on the drift entry of ``tests/test_work_counters.py``: every refit
+    leaves each record, template and placement in place, no world class
+    is certified twice, and the run equals full simulation."""
+    executors: list = []
+    kept: list[bool] = []
+    certified: list[CompiledKey] = []
+    refit = LifecycleController._refit
+    certify = compiled_mod._certify
+
+    def watched_refit(self, reason, *, initial=False):
+        before = _fast_path_state(executors[0])
+        refit(self, reason, initial=initial)
+        if not initial:
+            after = _fast_path_state(executors[0])
+            kept.append(all(map(_same_objects, before, after)))
+
+    def recording_certify(executor, batch, decision, key, *args):
+        template = certify(executor, batch, decision, key, *args)
+        certified.append(CompiledKey.of(key))
+        return template
+
+    monkeypatch.setattr(LifecycleController, "_refit", watched_refit)
+    monkeypatch.setattr(compiled_mod, "_certify", recording_certify)
+    task = load_task(
+        TASK, iterations=300, seed=11, drift_scenario="curriculum"
+    )
+    budget = task.default_budgets(4)[1]
+    result = run_task(
+        task, "mimose", budget, drift_detection=True,
+        observers=(executors.append,),
+    )
+    assert result.refits >= 1 and len(kept) == result.refits
+    assert all(kept)
+    assert len(executors[0].replay) and len(executors[0].compiled)
+    assert certified and len(set(certified)) == len(certified)
+    monkeypatch.undo()
+    full = run_task(
+        task, "mimose", budget, drift_detection=True,
+        observers=(_full_simulation,),
+    )
+    assert_same_run(result, full, "curriculum: fast paths on vs off")
 
 
 def test_refit_invalidation_is_digest_neutral_and_deterministic():
@@ -91,8 +134,7 @@ def test_refit_invalidation_is_digest_neutral_and_deterministic():
         )
         again = drift_run(scenario)
         assert_same_run(with_compiled, again, f"{scenario}: repeat run")
-        # determinism extends to the fast-path counters themselves: the
-        # same refits flush the same entries at the same iterations
+        # determinism extends to the fast-path counters themselves
         assert with_compiled.replay_hits == again.replay_hits
         assert with_compiled.compiled_hits == again.compiled_hits
         assert with_compiled.refits == again.refits

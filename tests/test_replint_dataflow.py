@@ -697,7 +697,6 @@ def test_mutation_refit_without_invalidation_via_cli(tmp_path, monkeypatch, caps
     """The lifecycle mutation, driven end-to-end through the CLI."""
     original = (REPO_ROOT / "src/repro/core/lifecycle.py").read_text()
     mutated = mutate(original, "self.cache.clear()", "pass")
-    mutated = mutate(mutated, "self._invalidate()", "pass")
     (tmp_path / "lifecycle.py").write_text(mutated)
     monkeypatch.chdir(tmp_path)
     rc = replint_main(

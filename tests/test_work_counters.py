@@ -64,7 +64,6 @@ def _run_counters(result, executor) -> dict[str, int]:
         "replay.hits": replay.hits,
         "replay.misses": replay.misses,
         "replay.bypasses": replay.bypasses,
-        "replay.invalidations": replay.invalidations,
         "compiled.hits": compiled.hits,
         "compiled.misses": compiled.misses,
         "compiled.bypasses": compiled.bypasses,
