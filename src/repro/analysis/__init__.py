@@ -24,7 +24,7 @@ rule                          invariant
 ``guard-dominance``           hot-path emits are CFG-dominated by a
                               ``bus.wants()`` branch
 ``invalidation-reachability``  every estimator-refit call path reaches the
-                              plan-cache/replay/compiled flush
+                              plan-cache flush
 ============================  =============================================
 
 Run it with ``python -m repro.analysis [paths...]`` (or the ``replint``

@@ -1,16 +1,19 @@
-"""``invalidation-reachability`` — every refit path reaches the flush.
+"""``invalidation-reachability`` — every refit path reaches the
+plan-cache flush.
 
 The lifecycle protocol (:mod:`repro.core.lifecycle`) is: whenever an
-estimator is (re)fitted, the plan cache and the replay/compiled tiers
-must be flushed *on the same path*, because every cached plan, replay
-record and compiled template was priced off the old fit.  The syntactic
+estimator is (re)fitted, the plan cache must be flushed *on the same
+path*, because every cached plan carries predictions of the old fit.
+It is the only fit-priced cache: replay records and compiled templates
+are keyed by the plan's actions, the batch shape and the allocator
+state and read no fit, so flushing them does not count.  The syntactic
 ``lifecycle-protocol`` rule pins *where* fits may happen; this rule
 checks the protocol itself: from any function that performs an
-estimator fit, some call path must reach an invalidation site — a
-``.clear()``/``.flush()``/``.invalidate()`` on a cache-like receiver,
-or a call to a function whose name says invalidate/flush.  A refit
-helper that forgets the flush (the exact mutation the test suite
-injects into a copy of ``lifecycle.py``) is flagged at the fit call.
+estimator fit, some call path must reach a
+``.clear()``/``.flush()``/``.invalidate()``/``.evict_all()``/``.reset()``
+on a plan-cache receiver (a name containing ``cache``).  A refit helper
+that forgets the flush (the exact mutation the test suite injects into
+a copy of ``lifecycle.py``) is flagged at the fit call.
 
 Reachability runs over the project-wide call graph from the collect
 pass, so the fit and the flush may live in different functions or
@@ -37,10 +40,8 @@ from repro.analysis.dataflow.callgraph import CallGraph
 _FIT_METHODS = {"fit", "fit_base"}
 #: method names that flush cached, fit-priced state
 _FLUSH_METHODS = {"clear", "flush", "invalidate", "evict_all", "reset"}
-#: receiver-name fragments identifying fit-priced caches
-_CACHE_RECEIVERS = ("cache", "replay", "compiled", "template")
-#: bare/attribute callee-name fragments that *are* the invalidation
-_FLUSH_NAME_FRAGMENTS = ("invalidate", "flush")
+#: receiver-name fragment identifying the fit-priced plan cache
+_CACHE_RECEIVER = "cache"
 
 
 def _is_fit_call(node: ast.Call) -> bool:
@@ -59,12 +60,11 @@ def _is_flush_call(node: ast.Call) -> bool:
     if dotted is None:
         return False
     root, _, fn = dotted.rpartition(".")
-    if any(frag in fn.lower() for frag in _FLUSH_NAME_FRAGMENTS):
-        return True
-    if root and fn in _FLUSH_METHODS:
-        receiver = root.split(".")[-1].lower()
-        return any(frag in receiver for frag in _CACHE_RECEIVERS)
-    return False
+    return (
+        bool(root)
+        and fn in _FLUSH_METHODS
+        and _CACHE_RECEIVER in root.split(".")[-1].lower()
+    )
 
 
 @register_rule
@@ -72,7 +72,7 @@ class InvalidationReachabilityRule(Rule):
     id = "invalidation-reachability"
     summary = (
         "every call path performing an estimator refit must reach a "
-        "plan-cache/replay/compiled flush (the lifecycle protocol)"
+        "plan-cache flush (the lifecycle protocol)"
     )
 
     def __init__(self) -> None:
@@ -103,9 +103,9 @@ class InvalidationReachabilityRule(Rule):
                 yield self.finding(
                     ctx, call,
                     f"estimator refit in `{info.qualname.split(':')[-1]}` "
-                    "reaches no plan-cache/replay/compiled flush on any "
-                    "call path; the lifecycle protocol requires every fit "
-                    "to invalidate state priced off the previous fit "
+                    "reaches no plan-cache flush on any call path; the "
+                    "lifecycle protocol requires every fit to drop the "
+                    "plans priced off the previous fit "
                     "(see core/lifecycle.py)",
                 )
 

@@ -2,10 +2,10 @@
 
 The collect→fit→plan lifecycle has exactly one owner:
 :class:`repro.core.lifecycle.LifecycleController`.  Every estimator
-(re)fit must run its invalidation protocol (plan cache + replay +
-compiled templates flushed together), and every collector reset must go
-through the controller's state machine so readiness, drift calibration
-and re-collection accounting stay coherent.  A direct
+(re)fit must clear the plan cache, whose plans carry the old fit's
+predictions, and every collector reset must go through the
+controller's state machine so readiness, drift calibration and
+re-collection accounting stay coherent.  A direct
 ``estimator.fit(...)`` or ``collector.clear(...)`` sprinkled elsewhere
 recreates the implicit lifecycle this refactor removed — a fit nobody
 tracked, serving cached plans priced off a fit that no longer exists.
@@ -38,7 +38,7 @@ class LifecycleProtocolRule(Rule):
     id = "lifecycle-protocol"
     summary = (
         "estimator.fit()/collector.clear() outside the lifecycle "
-        "controller bypasses the refit invalidation protocol"
+        "controller bypasses the refit's plan-cache flush"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -57,9 +57,8 @@ class LifecycleProtocolRule(Rule):
                     ctx, node,
                     f"direct `{dotted}(...)`: estimator fits belong to "
                     "LifecycleController._refit, which flushes the plan "
-                    "cache and the replay/compiled tiers; route this "
-                    "through the lifecycle (or allowlist an offline-only "
-                    "analysis site)",
+                    "cache; route this through the lifecycle (or "
+                    "allowlist an offline-only analysis site)",
                 )
             elif fn in _RESET_METHODS and "collector" in receiver:
                 yield self.finding(

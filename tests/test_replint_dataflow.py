@@ -580,6 +580,24 @@ def test_invalidation_accepts_flush_through_helper():
     )
 
 
+def test_invalidation_flags_fast_path_flush_without_plan_cache_flush():
+    """Replay records and compiled templates read no fit: flushing them
+    is not the protocol's flush."""
+    src = (
+        "class Controller:\n"
+        "    def refit(self):\n"
+        "        self.estimator.fit(self.collector)\n"
+        "        self.replay.invalidate()\n"
+        "    def refit_base(self):\n"
+        "        self.estimator.fit_base(self.sizes, self.peaks)\n"
+        "        self.compiled.clear()\n"
+    )
+    findings = analyze_sources(
+        {"m.py": src}, rules=only("invalidation-reachability")
+    )
+    assert [f.line for f in findings] == [3, 6]
+
+
 # ---------------------------------------------------------------------------
 # mutation tests: inject the bug classes into copies of the real files
 # ---------------------------------------------------------------------------
