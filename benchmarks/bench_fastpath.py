@@ -288,7 +288,7 @@ def bench_fastpath_faulted_equivalence(benchmark, results_dir):
                 return record
 
             def at_start(event):
-                if event.iteration == failure_at and not earlier:
+                if event.iteration == failure_at:
                     earlier.update(cache._records)
 
             cache.lookup = tracking_lookup

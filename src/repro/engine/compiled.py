@@ -18,11 +18,11 @@ The executor's lookup ladder becomes three tiers::
 
 **Eligibility** is exactly the replay proof: the compiled tier is only
 consulted for iterations that produced a :class:`~repro.engine.replay
-.ReplayKey` (so fault windows and noisy COLLECT passes never reach
-it), and a template is only built from an iteration
-whose record was stored — it round-tripped the allocator signature and
-never read state outside its world (a REACTIVE pass that asked the
-planner for an eviction victim is never recorded).  On top of that the
+.ReplayKey` (so fault windows and noisy COLLECT passes never reach it),
+and a template is only built from an iteration whose record was stored
+— it round-tripped the allocator signature and never read state outside
+its world (a REACTIVE pass that asked the planner for an eviction victim
+is never recorded).  On top of that the
 certifier rejects worlds it cannot prove size-generic: passes that moved
 bytes over the copy engine (swap-out completion moves frees and stalls
 as the input size changes), iterations that reserve or release segments
@@ -104,10 +104,10 @@ if TYPE_CHECKING:
 
 
 #: LRU capacity of a :class:`CompiledCache`, in world classes.  Nothing
-#: flushes the cache, so this bound alone retires templates; 32 serves
-#: every hit a bound of 256 serves on the drift-stream benchmark and on
-#: stationary 2000-iteration TC-Bert streams, and keeps a long drifting
-#: run's resident memory at what per-refit flushes used to leave
+#: flushes the cache, so this bound alone retires templates.  32 serves
+#: the same iterations as 256 on pass 0 of the drift-stream benchmark and
+#: on stationary 2000-iteration TC-Bert streams, while a drifting run that
+#: certifies ~190 world classes keeps at most 32 of them resident
 MAX_TEMPLATES = 32
 
 #: the column of a unit's (forward, backward) times each per-unit compute

@@ -307,9 +307,8 @@ class TrainingExecutor:
         # Every mode is keyed, recovery attempts included: a pass that
         # turns out history-dependent (a reactive eviction) is only kept
         # from being recorded.
-        if (
-            self.faults is not None and not self.faults.quiet()
-        ) or not strategy.allows_replay(self):
+        perturbed = self.faults is not None and not self.faults.quiet()
+        if perturbed or not strategy.allows_replay(self):  # e.g. noisy COLLECT
             cache.bypasses += 1
             if self.compiled is not None:
                 self.compiled.bypasses += 1
