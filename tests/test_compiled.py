@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.data.datasets import DRIFT_SCENARIOS
 from repro.engine import compiled as compiled_mod
+from repro.engine import replay as replay_mod
 from repro.engine.events import TimeCharged
 from repro.engine.executor import TrainingExecutor
 from repro.engine.replay import ReplayCache
@@ -399,6 +400,50 @@ def test_reactive_template_falls_back_over_the_budget():
     ]
     assert list(cache._templates.values()) == [template]
     without, _ = run(compiled=False)
+    assert result.digest() == without.digest()
+
+
+def test_placements_survive_template_eviction(monkeypatch):
+    """Nothing flushes the fast tiers, so only the LRU bounds drop a
+    template or record.  Under bounds of one each, short and long batches
+    alternate between two world classes that evict each other at every
+    step: the templates re-certified after an eviction place nothing
+    anew, and the run equals one with both tiers off."""
+    monkeypatch.setattr(compiled_mod, "MAX_TEMPLATES", 1)
+    monkeypatch.setattr(replay_mod, "MAX_RECORDS", 1)
+    task = load_task("TC-Bert", iterations=8, seed=0)
+    warm = list(task.loader)
+    rows, dtype = warm[0].shape[0], warm[0].dtype
+    short, long = (
+        [BatchInput((rows, n), dtype) for n in lengths]
+        for lengths in ((64, 72, 80), (400, 440, 480))
+    )
+    stream = warm + [b for pair in zip(short, long) for b in pair] * 4
+    certified: list = []
+    placed: list[tuple] = []
+    certify = compiled_mod._certify
+    place = compiled_mod.CompiledTemplate._place
+
+    def recording_certify(executor, batch, decision, key, *args):
+        template = certify(executor, batch, decision, key, *args)
+        certified.append(compiled_mod.CompiledKey.of(key))
+        return template
+
+    def counting_place(self, rsizes):
+        start = tuple(sorted(self.start_free.items()))
+        placed.append((self.req_index, self.ops, start, tuple(rsizes)))
+        return place(self, rsizes)
+
+    monkeypatch.setattr(compiled_mod, "_certify", recording_certify)
+    monkeypatch.setattr(compiled_mod.CompiledTemplate, "_place", counting_place)
+    result, executor = _run(task, "mimose", 4 * GB, stream=stream)
+    assert len(executor.compiled) == len(executor.replay) == 1
+    assert len(certified) > len(set(certified))  # re-certified after eviction
+    assert executor.compiled.hits > 0
+    assert placed and len(placed) == len(set(placed))
+    without, _ = _run(
+        task, "mimose", 4 * GB, stream=stream, compiled=False, replay=False
+    )
     assert result.digest() == without.digest()
 
 
