@@ -184,9 +184,11 @@ def bench_compiled_sweep_speedup(benchmark, results_dir):
     save_result(results_dir, "fastpath_compiled", text)
     # equivalence first: the compiled tier must change nothing observable
     assert row["digest_compiled_prefix"] == row["digest_full"]
-    # the compiled tier must actually have served iterations
+    # the compiled tier must actually have served iterations, from one
+    # template: the stream runs one sublinear plan, certified once
+    # whatever allocator state each size meets
     assert row["compiled_hits"] > 0, row
-    assert row["certifications"] > 0, row
+    assert row["certifications"] == 1, row
     assert row["speedup"] >= 10.0, row
 
 

@@ -212,7 +212,7 @@ class SegmentedModel:
 
     def placements(self, batch: BatchInput) -> dict:
         """The compiled tier's placements of :meth:`request_sizes` at this
-        shape, keyed by program (:mod:`repro.engine.compiled` fills it)."""
+        shape, keyed by program and free blocks (see :mod:`repro.engine.compiled`)."""
         return self._shape(batch).placements
 
     def unit_names(self) -> list[str]:

@@ -83,8 +83,8 @@ def test_refit_mid_run_keeps_fastpath_tiers(monkeypatch):
     """A refit clears the plan cache and nothing else: a replay record or
     compiled template depends only on its key, which reads no fit.  Run
     on the drift entry of ``tests/test_work_counters.py``: every refit
-    leaves each record, template and placement in place, no world class
-    is certified twice, and the run equals full simulation."""
+    leaves each record, template and placement in place, no plan is
+    certified twice, and the run equals full simulation."""
     executors: list = []
     kept: list[bool] = []
     certified: list[CompiledKey] = []

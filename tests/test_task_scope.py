@@ -6,8 +6,8 @@ unit traces, the allocator request sizes, the roofline unit times and
 the compiled tier's placements.  Every run, executor and compiled
 template of the task shares them, so a sweep traces each (unit, input
 spec) pair once, prices each (device preset, unit, input spec) once and
-places each (compiled program, batch) once, however many grid points
-meet it.
+places each (compiled program, batch, allocator state) once, however
+many grid points meet it.
 """
 
 from __future__ import annotations
@@ -63,15 +63,16 @@ def test_sweep_derives_each_shape_once_per_task(counted):
 
 def test_sweep_places_each_program_once_per_batch(monkeypatch):
     """Templates of different grid points (and a template's self-test and
-    first evaluation) with equal programs share one placement per batch:
-    the placement core runs once per distinct input."""
+    first evaluation) with equal programs share one placement per batch
+    and allocator state: the placement core runs once per distinct
+    input."""
     placed: list[tuple] = []
     place = CompiledTemplate._place
 
-    def counting_place(self, rsizes):
-        start = tuple(sorted(self.start_free.items()))
-        placed.append((self.req_index, self.ops, start, tuple(rsizes)))
-        return place(self, rsizes)
+    def counting_place(self, start, rsizes):
+        blocks = tuple(sorted(start.items()))
+        placed.append((self.req_index, self.ops, blocks, tuple(rsizes)))
+        return place(self, start, rsizes)
 
     monkeypatch.setattr(CompiledTemplate, "_place", counting_place)
     task = load_task(TASK, iterations=ITERATIONS, seed=SEED)

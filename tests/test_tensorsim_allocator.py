@@ -451,11 +451,13 @@ def test_template_path_matches_live_allocator(prefix, steps):
 
     template = CompiledTemplate(
         req_index=tuple(range(len(steps))), ops=tuple(program),
-        start_free=FreeList.from_signature(signature), unit_names=(),
-        layout=(), upkeep_rate=0.0, charge_prog=(),
-        measure_spec=(), start_in_use=signature[0], const_stats=None,
+        unit_names=(), layout=(), upkeep_rate=0.0, charge_prog=(),
+        measure_spec=(), const_stats=None,
     )
-    placed = template._place([request_size(nb) for nb in nbytes])
+    placed = template._place(
+        FreeList.from_signature(signature),
+        [request_size(nb) for nb in nbytes],
+    )
     if not fits:
         assert placed is None
         return
