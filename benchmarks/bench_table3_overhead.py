@@ -39,8 +39,8 @@ def bench_table3_overhead(benchmark, results_dir):
         assert r["estimator_scheduler_ms_max"] < 10.0, r
         assert r["fit_ms"] >= 0.0, r
         # Plans are generated far less often than once per iteration.
-        # This is a structural count (plan-cache misses), not the old
-        # wall-clock "planning_time > 0.1 ms" threshold.
+        # This is a structural count (every plan the planner built), not
+        # the old wall-clock "planning_time > 0.1 ms" threshold.
         assert r["plans_generated"] < 150, r
     # total_overhead also excludes the one-time fit (it is gated here,
     # so keeping the fit in made the bound machine-dependent — the last

@@ -157,7 +157,8 @@ def table3_rows(
         lb, _ = task.memory_bounds()
         if budget < lb * 1.05:  # OD tasks cannot fit a 6 GB budget
             budget = int(lb * 1.15)
-        result = run_task(task, "mimose", budget)
+        executors: list = []
+        result = run_task(task, "mimose", budget, observers=(executors.append,))
         collects = [s for s in result.iterations if s.is_collect]
         responsive = [s for s in result.iterations if not s.is_collect]
         collector_time = sum(s.collect_time for s in collects)
@@ -202,11 +203,11 @@ def table3_rows(
                 "fit_ms": fit_ms,
                 "estimator_scheduler_ms_min": 1e3 * min(plan_times, default=0.0),
                 "estimator_scheduler_ms_max": 1e3 * max(plan_times, default=0.0),
-                # One plan generation per plan-cache miss — a structural
-                # count, not the old "planning_time > 0.1 ms" wall-clock
-                # threshold (which undercounted on fast hosts and
-                # overcounted on slow ones).
-                "plans_generated": result.plan_cache_misses,
+                # Every plan the planner built — plan-cache misses and the
+                # recovery ladder's replans — a structural count, not the
+                # old "planning_time > 0.1 ms" wall-clock threshold (which
+                # undercounted on fast hosts and overcounted on slow ones).
+                "plans_generated": executors[0].planner.plan_count,
                 "total_overhead_ms": 1e3 * overhead,
                 "total_overhead_iters": overhead / mean_iter if mean_iter else 0.0,
                 # Cache effectiveness: how much of the planning column was

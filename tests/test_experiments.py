@@ -3,8 +3,10 @@
 import pytest
 
 from repro.engine.stats import IterationStats, RunResult, summarize_runs
+from repro.experiments import tables
 from repro.experiments.runner import PLANNER_NAMES, make_planner, run_task, sweep
 from repro.experiments.tasks import GB, TASKS, load_task
+from repro.tensorsim.faults import FaultPlan
 
 
 def small_task(abbr="TC-Bert", iterations=6):
@@ -92,6 +94,35 @@ def test_sweep_runs_baseline_once():
     names = [(r.planner_name, r.budget_bytes) for r in results]
     assert names.count(("baseline", 4 * GB)) == 1
     assert ("sublinear", 4 * GB) in names and ("sublinear", 5 * GB) in names
+
+
+def test_table3_counts_the_plans_recovery_generates(monkeypatch):
+    """Table III's ``plans_generated`` counts every plan Mimose builds:
+    the recovery ladder's replans take no plan-cache lookup, so two
+    transient failures rescued by replanning are counted too."""
+    faults = FaultPlan.parse(
+        "alloc:start=30,count=1,min=1M;alloc:start=60,count=1,min=1M"
+    )
+    planners: list = []
+
+    def faulted_run_task(task, planner_name, budget, *, observers=()):
+        def attach(executor):
+            planners.append(executor.planner)
+
+        return run_task(
+            task, planner_name, budget, faults=faults,
+            observers=(*observers, attach),
+        )
+
+    monkeypatch.setattr(tables, "run_task", faulted_run_task)
+    budget = load_task("TC-Bert", seed=3).default_budgets()[0]
+    (row,) = tables.table3_rows(
+        ("TC-Bert",), budget_gb=budget / GB, iterations=100, seed=3
+    )
+    (planner,) = planners
+    assert planner.recovery_attempts > 0
+    assert row["plans_generated"] == planner.plan_count
+    assert planner.plan_count > planner.cache.misses
 
 
 def test_planner_capacity_contract():
