@@ -243,8 +243,8 @@ class TrainingExecutor:
         Three-tier lookup: a replay record proving this iteration's world
         (mode, plan, batch shape, allocator state) identical to one
         already simulated is served without touching the allocator; on a
-        miss, a certified compiled template for the same world *class*
-        (any batch size) is evaluated symbolically; otherwise simulate in
+        miss, the plan's certified compiled template (any batch size and
+        allocator state) is evaluated symbolically; otherwise simulate in
         full and — if the allocator round-trips — record, and certify a
         template from the recorded pass.
         """
@@ -449,7 +449,7 @@ class TrainingExecutor:
             )
             self.replay.store(replay_key, record)
             if self.compiled is not None:
-                # one-off certification attempt for this world class
+                # one-off certification attempt for this plan
                 self.compiled.maybe_certify(
                     self, batch, decision, replay_key, record, ops, charges,
                     strategy.peak_limit(self),

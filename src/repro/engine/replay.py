@@ -85,9 +85,9 @@ class ReplayKey(NamedTuple):
     """Typed iteration-world fingerprint (see module docstring).
 
     Shared by the replay tier and the compiled tier: replay requires the
-    *whole* key to recur; the compiled tier derives its coarser world-class
-    key from the same fields (dropping the shape, which it treats
-    symbolically).
+    *whole* key to recur; the compiled tier derives its coarser plan key
+    from the same fields (dropping the shape and the signature, both
+    inputs of a template's evaluation).
     """
 
     mode: "ExecutionMode"
