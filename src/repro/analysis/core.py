@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 import fnmatch
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Optional
 
@@ -343,7 +343,7 @@ def analyze_sources(
 
 
 # ---------------------------------------------------------------------------
-# Shared AST helpers used by several rules
+# Shared AST helper used by several rules
 # ---------------------------------------------------------------------------
 
 
@@ -357,25 +357,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-@dataclass(slots=True)
-class ParentMap:
-    """Child → parent links for lexical-ancestry queries (e.g. "is this
-    ``emit`` inside an ``if bus.wants(...)`` guard?")."""
-
-    parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, tree: ast.AST) -> "ParentMap":
-        pm = cls()
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                pm.parents[child] = parent
-        return pm
-
-    def ancestors(self, node: ast.AST) -> Iterable[ast.AST]:
-        cur = self.parents.get(node)
-        while cur is not None:
-            yield cur
-            cur = self.parents.get(cur)

@@ -69,22 +69,6 @@ class _StackedPolynomials:
             acc = acc * xs + self.coeffs[:, j]
         return acc
 
-    def evaluate_many(self, input_sizes: np.ndarray) -> np.ndarray:
-        """Every unit's polynomial at every size — shape (units, sizes).
-
-        One Horner pass over a broadcast (units, sizes) grid.  Column
-        *k* performs exactly the IEEE-double operations of
-        ``evaluate(input_sizes[k])``, so the batch result is bitwise
-        identical to evaluating sizes one at a time.
-        """
-        xs = np.asarray(input_sizes, dtype=float)[None, :] / self.scales[:, None]
-        acc = np.broadcast_to(
-            self.coeffs[:, 0:1], xs.shape
-        ).copy()
-        for j in range(1, self.coeffs.shape[1]):
-            acc = acc * xs + self.coeffs[:, j, None]
-        return acc
-
 
 @dataclass(frozen=True, slots=True)
 class EstimatorReport:
@@ -193,10 +177,6 @@ class LightningMemoryEstimator:
     @property
     def is_fitted(self) -> bool:
         return bool(self._mem_models)
-
-    @property
-    def last_fit_time(self) -> float:
-        return self._last_fit_time
 
     @property
     def max_trained_size(self) -> int:
@@ -314,52 +294,6 @@ class LightningMemoryEstimator:
                 self._bwd_cache.clear()
             self._bwd_cache[key] = cached
         return dict(cached)
-
-    def predict_all_bytes_many(
-        self, input_sizes: list[int]
-    ) -> dict[int, dict[str, int]]:
-        """Per-unit predicted bytes for a *batch* of input sizes.
-
-        Uncached sizes are evaluated in one broadcast Horner pass
-        (:meth:`_StackedPolynomials.evaluate_many`) instead of one pass
-        per size; results are bitwise identical to calling
-        :meth:`predict_all_bytes` per size, and share its memo cache.
-        Useful for sweep-style planners that price a whole size grid up
-        front.
-
-        Note: predictions are *estimates* for planning only.  The
-        executor's compiled-template tier deliberately does not consume
-        them — templates derive exact per-tensor sizes from traced
-        profiles, because serving digest-identical results rules out
-        fitted approximations.
-        """
-        out: dict[int, dict[str, int]] = {}
-        missing: list[int] = []
-        for size in input_sizes:
-            key = int(size)
-            cached = self._bytes_cache.get(key)
-            if cached is None:
-                missing.append(key)
-            else:
-                out[key] = dict(cached)
-        if missing:
-            if self._mem_stack is not None:
-                grid = self._mem_stack.evaluate_many(np.array(missing))
-                for col, key in enumerate(missing):
-                    fresh = {
-                        name: max(0, int(v))
-                        for name, v in zip(
-                            self._mem_stack.names, grid[:, col]
-                        )
-                    }
-                    if len(self._bytes_cache) >= self._PREDICT_CACHE_LIMIT:
-                        self._bytes_cache.clear()
-                    self._bytes_cache[key] = fresh
-                    out[key] = dict(fresh)
-            else:
-                for key in missing:
-                    out[key] = self.predict_all_bytes(key)
-        return out
 
     def total_bytes(self, input_size: int) -> int:
         return sum(self.predict_all_bytes(input_size).values())

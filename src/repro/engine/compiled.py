@@ -47,30 +47,41 @@ alloc/free program over request-vector slots, a charge program over the
 :class:`~repro.engine.events.TimeCharged` stream (each charge resolved
 once to the unit time or constant it stands for, and checked against
 the recorded value), and the mapping from COLLECT measurements (the
-record's own) to the saved-record allocations they sum.  A template
-holds no allocator state.
+record's own) to the request-vector slots of the saved records they
+sum.  A template holds no allocator state.
 
 **Evaluation** takes the batch and the world's allocator signature as
-inputs.  It places the alloc/free program, at the batch's request sizes,
-on the free list the signature encodes, with the allocator's own
-placement core, :class:`~repro.tensorsim.allocator.FreeList` — the same
-best fit, split and coalescing decisions full simulation makes, at
-free-list cost (no tensors, no events, no signature hashing).  A
-placement is a pure function of the program, the starting free blocks
-and the sizes, so it is memoised beside the request vector it reads
-(:meth:`~repro.models.base.SegmentedModel.placements`), keyed by the
-template's packed :attr:`CompiledTemplate.program` and the signature's
-canonical free blocks; the free list is decoded only on a memo miss.
-The charge program then folds in emission order (bit-identical float
-accumulation), the measurement spec sums the block sizes the sheltered
-collector would have observed, and the signature gives the memory
-stats.  The evaluation serves only if every request fits without a new
-segment and the placed free list round-trips to its starting state — the
-steady-state proof the replay tier stores under — so a served iteration
-leaves the world exactly as full simulation would have.  Otherwise, or
-over the peak limit, it falls back to full simulation; *structural*
-drift (record layout, upkeep rate) deletes the template, and full
-simulation may re-certify.
+inputs, and asks the allocator's own placement core,
+:class:`~repro.tensorsim.allocator.FreeList`, one question: does the
+alloc/free program, at the batch's request sizes, place on the free
+list the signature encodes without a new segment?  It answers with the
+same best fit, split and coalescing decisions full simulation makes, at
+free-list cost (no tensors, no events, no signature hashing).  Nothing
+else about the placement needs computing, because every block is
+exactly its request (:mod:`repro.tensorsim.allocator`; the certifier
+checks it on the recorded pass):
+
+* the placed peak is the running maximum of the live request bytes
+  along the program, a function of (program, shape) alone;
+* the COLLECT measurements are sums of request-vector entries;
+* a served pass round-trips by construction: the program is balanced
+  (it frees every block it allocates), it reserves no segment, and a
+  coalesced free list that gets back every byte it gave is the list it
+  started as.  That is the steady-state proof the replay tier stores
+  under, so a served iteration leaves the world exactly as full
+  simulation would have.
+
+The peak (per program and shape) and the verdict (per program, shape
+and the signature's canonical free blocks) are memoised beside the
+request vector they read
+(:meth:`~repro.models.base.SegmentedModel.placements`), under the
+template's packed :attr:`CompiledTemplate.program`; the free list is
+decoded only when a verdict is missing.  The charge program then folds
+in emission order (bit-identical float accumulation), and the signature
+gives the memory stats.  A request that finds no block, or a peak over
+the limit, falls back to full simulation; *structural* drift (record
+layout, upkeep rate) deletes the template, and full simulation may
+re-certify.
 
 Why not serve stats from the fitted memory-estimator polynomials?  The
 estimator is a *regression* — its predictions approximate, so they can
@@ -158,15 +169,14 @@ class CompiledTemplate:
     #: seconds)`` — the unit's time in ``column`` at the served shape, or
     #: the constant ``seconds`` when ``column`` is None (upkeep, optimizer)
     charge_prog: tuple
-    #: per measured unit: (unit_idx, req indices of saved records)
+    #: per measured unit: (unit_idx, vector slots of its saved records)
     measure_spec: tuple
     const_stats: IterationStats
     #: in-use bytes a served pass must stay within (the strategy's
     #: :meth:`~repro.engine.strategies.ExecutionStrategy.peak_limit`)
     peak_limit: Optional[int] = None
-    #: everything :meth:`_place` reads of the template, packed: with the
-    #: starting free blocks, the placement memo's key (a ``bytes`` caches
-    #: its hash)
+    #: everything :meth:`_placement` reads of the template, packed: the
+    #: placement memo's key (a ``bytes`` caches its hash)
     program: bytes = field(init=False)
 
     def __post_init__(self) -> None:
@@ -176,73 +186,57 @@ class CompiledTemplate:
 
     # ------------------------------------------------------------- evaluate
 
-    def _place(self, start: FreeList, rsizes: list[int]):
-        """Run the alloc/free program on a copy of the free list ``start``.
+    def _place(self, free: FreeList, rsizes: list[int]) -> bool:
+        """Run the alloc/free program on the free list ``free``, consuming
+        it: whether every request fits without a new segment.
 
-        Returns ``(block_sizes, peak_overshoot)``, or None when a request
-        does not fit (the real allocator would reserve a segment) or the
-        free list does not round-trip (not steady state at this size and
-        state).
+        A placement that fits gives ``free`` back as it found it: the
+        program is balanced and the list coalesced (:class:`FreeList`).
         """
-        free = start.copy()
         take, give = free.take, free.give  # hoisted: this loop is the hot path
-        b: list[int] = [0] * len(self.req_index)
         where: list[int] = [0] * len(self.req_index)
-        cur = 0
-        peak = 0
         for k in self.ops:
             if k >= 0:  # allocate request k
-                placed = take(rsizes[k])
-                if placed is None:
-                    return None
-                where[k], size = placed
-                b[k] = size
-                cur += size
-                if cur > peak:
-                    peak = cur
+                addr = take(rsizes[k])
+                if addr is None:
+                    return False
+                where[k] = addr
             else:  # free the block of request ~k
                 k = -k - 1
-                cur -= b[k]
-                give(where[k], b[k])
-        if free != start:
-            return None
-        return b, peak
+                give(where[k], rsizes[k])
+        return True
 
     def _placement(
         self, model: "SegmentedModel", batch: "BatchInput", signature: tuple
-    ) -> Optional[tuple[int, tuple]]:
-        """:meth:`_place` at ``batch`` from the allocator state
-        ``signature``, once per (program, shape, free blocks) per task.
+    ) -> Optional[int]:
+        """The peak overshoot of this program at ``batch`` if it places
+        from the allocator state ``signature``, else None.
 
-        Returns ``(peak_overshoot, resized)``, ``resized`` holding
-        ``(k, block size)`` for each block larger than its request (a
-        split the allocator declined), or None when :meth:`_place` is.
+        Blocks are their requests, so the overshoot is the running maximum
+        of the live request bytes, once per (program, shape); the verdict
+        of :meth:`_place` is once per (program, shape, free blocks).  Both
+        are memoised per task.
         """
         memo = model.placements(batch)
-        key = self.program, signature[3]
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        vec = model.request_sizes(batch)
-        rsizes = [vec[i] for i in self.req_index]
-        run = self._place(FreeList.from_signature(signature), rsizes)
-        if run is not None:
-            b, peak = run
-            run = peak, tuple(
-                (k, size) for k, (size, r) in enumerate(zip(b, rsizes))
-                if size != r
+        entry = memo.get(self.program)
+        fits = None if entry is None else entry[1].get(signature[3])
+        if fits is None:
+            vec = model.request_sizes(batch)
+            rsizes = [vec[i] for i in self.req_index]
+            if entry is None:
+                cur = peak = 0
+                for k in self.ops:
+                    if k >= 0:
+                        cur += rsizes[k]
+                        if cur > peak:
+                            peak = cur
+                    else:
+                        cur -= rsizes[-k - 1]
+                entry = memo[self.program] = peak, {}
+            fits = entry[1][signature[3]] = self._place(
+                FreeList.from_signature(signature), rsizes
             )
-        memo[key] = run
-        return run
-
-    def _blocks(self, vec, resized: tuple) -> list[int]:
-        """Every request's block size, from the request vector ``vec`` and
-        a placement's ``resized`` blocks."""
-        b = [vec[i] for i in self.req_index]
-        for k, size in resized:
-            b[k] = size
-        return b
+        return entry[0] if fits else None
 
     def evaluate(
         self,
@@ -272,10 +266,9 @@ class CompiledTemplate:
             or executor.planner.upkeep_time_per_tensor != self.upkeep_rate
         ):
             return "stale"  # structural drift: not the certified program
-        placed = self._placement(model, batch, signature)
-        if placed is None:
+        peak_overshoot = self._placement(model, batch, signature)
+        if peak_overshoot is None:
             return None
-        peak_overshoot, resized = placed
         in_use, reserved, _segments, free_blocks = signature
         peak = in_use + peak_overshoot
         if self.peak_limit is not None and peak > self.peak_limit:
@@ -297,19 +290,16 @@ class CompiledTemplate:
 
         meas = []
         if self.measure_spec:  # COLLECT: sum each unit's saved blocks
-            b = self._blocks(model.request_sizes(batch), resized)
-            for ui, req_idx in self.measure_spec:
-                saved = 0
-                for k in req_idx:
-                    saved += b[k]
+            vec = model.request_sizes(batch)
+            for ui, slots in self.measure_spec:
                 meas.append(
                     UnitMeasurement(
-                        self.unit_names[ui], batch.input_size, saved,
-                        ut[ui][0], ut[ui][1],
+                        self.unit_names[ui], batch.input_size,
+                        sum(vec[i] for i in slots), ut[ui][0], ut[ui][1],
                     )
                 )
 
-        # placed without a new segment and round-tripped: ends as it started
+        # placed without a new segment, so it ends as it started
         largest_free = max((size for _seg, _off, size in free_blocks), default=0)
         stats = replace(
             self.const_stats,
@@ -405,7 +395,6 @@ def _certify(
     req_index: list[int] = []
     req_sizes0: list[int] = []
     prog_ops: list[int] = []
-    b0: list[int] = []
     live: dict[int, int] = {}  # block addr -> req idx, this iteration only
     for op in ops:
         if len(op) == 5:  # malloc
@@ -415,18 +404,19 @@ def _certify(
             slot = slots.get(owner)
             if slot is None:
                 raise _Reject(f"allocation by unknown owner {owner!r}")
+            if size != request_size(nbytes):
+                raise _Reject("block larger than its request")
             k = len(req_index)
             req_index.append(slot)
-            req_sizes0.append(request_size(nbytes))
+            req_sizes0.append(size)
             prog_ops.append(k)
-            b0.append(size)
             live[addr] = k
         else:  # free
             addr, size = op
             k = live.pop(addr, None)
             if k is None:
                 raise _Reject("free of a block from before the iteration")
-            if size != b0[k]:
+            if size != req_sizes0[k]:
                 raise _Reject("freed size diverged")
             prog_ops.append(-k - 1)
     if live:
@@ -454,11 +444,11 @@ def _certify(
         if len(lst) != len(records):
             raise _Reject("measured unit never fully materialised")
         keep = len(records) - 1 if promoted else len(records)
-        req_idx = tuple(lst[ri] for ri in range(keep) if records[ri][1])
-        saved0 = sum(b0[kk] for kk in req_idx)
+        req_idx = [lst[ri] for ri in range(keep) if records[ri][1]]
+        saved0 = sum(req_sizes0[kk] for kk in req_idx)
         if meas.unit_name != unit_names[ui] or meas.saved_bytes != saved0:
             raise _Reject("measurement is not a sum of saved allocations")
-        measure_spec.append((ui, req_idx))
+        measure_spec.append((ui, tuple(req_index[kk] for kk in req_idx)))
 
     template = CompiledTemplate(
         req_index=tuple(req_index),
@@ -473,14 +463,10 @@ def _certify(
     )
 
     # ---- self-test: the template must reproduce the certification
-    # iteration bit for bit before it is ever trusted elsewhere; it places
-    # once, through the memo that the evaluation below then reads
+    # iteration bit for bit before it is ever trusted elsewhere
     vec = model.request_sizes(batch)
     if [vec[i] for i in template.req_index] != req_sizes0:
         raise _Reject("vector slots mis-derive the certification requests")
-    placed = template._placement(model, batch, replay_key.signature)
-    if placed is None or template._blocks(vec, placed[1]) != b0:
-        raise _Reject("placement diverges on the certification trace")
     result = template.evaluate(
         executor, batch, replay_key.signature, decision, record.stats.iteration
     )

@@ -164,8 +164,3 @@ class DataParallelExecutor:
     @property
     def mean_step_time(self) -> float:
         return self.total_time / self.steps if self.steps else 0.0
-
-
-def shard_loaders(loader_factory: Callable[[int], object], world_size: int):
-    """Per-rank loaders from a seed-taking factory (convenience helper)."""
-    return [loader_factory(rank) for rank in range(world_size)]

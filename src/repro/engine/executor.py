@@ -179,14 +179,6 @@ class TrainingExecutor:
         # Adam: read params/grads/m/v, write params/m/v -> ~28 B/param traffic.
         return self.device.kernel_time(8.0 * n, 28.0 * n)
 
-    def iteration_times(self, batch: BatchInput) -> tuple[float, float]:
-        """(total forward, total backward) seconds for one batch shape."""
-        fwd = bwd = 0.0
-        for f, b in self.model.unit_times(self.device, batch):
-            fwd += f
-            bwd += b
-        return fwd, bwd
-
     def step(self, batch: BatchInput) -> IterationStats:
         """Plan and execute one training iteration.
 
@@ -346,10 +338,11 @@ class TrainingExecutor:
     ) -> IterationStats:
         """Apply one compiled-template evaluation (allocator untouched).
 
-        The evaluated world round-tripped by construction (the template's
-        steady-state conditions held), so the result is also promoted to
-        the exact tier: the same world at the same size replays from now
-        on without re-evaluating the template.
+        The evaluated world round-tripped by construction (a balanced
+        program placed on a coalesced free list without a new segment),
+        so the result is also promoted to the exact tier: the same world
+        at the same size replays from now on without re-evaluating the
+        template.
         """
         stats, sim_time = served
         self.clock.advance(decision.planning_time)

@@ -74,7 +74,7 @@ class _ShapeMemo:
     sizes: Optional[array] = None
     #: device preset -> per-unit (forward, backward) seconds
     times: dict = field(default_factory=dict)
-    #: compiled program key -> its placement of ``sizes``
+    #: compiled program -> (its peak at ``sizes``, {free blocks: places?})
     placements: dict = field(default_factory=dict)
 
 
@@ -212,7 +212,8 @@ class SegmentedModel:
 
     def placements(self, batch: BatchInput) -> dict:
         """The compiled tier's placements of :meth:`request_sizes` at this
-        shape, keyed by program and free blocks (see :mod:`repro.engine.compiled`)."""
+        shape: per program, its peak and its verdict per starting free
+        list (see :mod:`repro.engine.compiled`)."""
         return self._shape(batch).placements
 
     def unit_names(self) -> list[str]:

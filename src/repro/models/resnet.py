@@ -36,10 +36,6 @@ class ResNetConfig:
     name: str
     stage_blocks: tuple[int, int, int, int]
 
-    @property
-    def total_blocks(self) -> int:
-        return sum(self.stage_blocks)
-
 
 RESNET50 = ResNetConfig("resnet50", (3, 4, 6, 3))
 RESNET101 = ResNetConfig("resnet101", (3, 4, 23, 3))

@@ -49,9 +49,6 @@ class SwinConfig:
     num_classes: int = 1000
     dropout: float = 0.0
 
-    def stage_dim(self, stage: int) -> int:
-        return self.embed_dim * (1 << stage)
-
 
 class SwinPatchEmbed(Module):
     """4x4 strided conv patchification + LayerNorm."""

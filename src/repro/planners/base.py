@@ -266,9 +266,6 @@ class ModelView:
         execution, for planners that price actions by time)."""
         return self._model.unit_times(device, batch)
 
-    def unit_index(self, name: str) -> int:
-        return self.unit_names.index(name)
-
 
 @dataclass(frozen=True, slots=True)
 class PlannerCapabilities:

@@ -25,9 +25,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol
+from typing import Iterable, Mapping, Optional, Protocol
 
 from repro.tensorsim.device import DeviceModel
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, from 0.0.
+
+    The builtin ``sum()`` of floats is this fold up to Python 3.11 and a
+    compensated sum from 3.12, which rounds differently; plans and their
+    costs must not depend on the interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +181,7 @@ class PcieCostModel:
     def overlap_window(self, inp: SolverInput) -> float:
         if self.bwd_ratio is None and inp.bwd_time is not None:
             bwd = list(inp.bwd_time.values())
-            return sum(bwd) / max(len(bwd), 1)
+            return left_sum(bwd) / max(len(bwd), 1)
         if inp.est_time is None:
             return 0.0
         ratio = (
@@ -176,12 +189,12 @@ class PcieCostModel:
             else self.bwd_ratio
         )
         fwd = list(inp.est_time.values())
-        return ratio * (sum(fwd) / max(len(fwd), 1))
+        return ratio * (left_sum(fwd) / max(len(fwd), 1))
 
     def transfer_envelope(self, inp: SolverInput) -> float:
         if inp.est_time is None:
             return 0.0
-        return self.envelope_fraction * sum(inp.est_time.values())
+        return self.envelope_fraction * left_sum(inp.est_time.values())
 
     def swap_cost(self, unit: str, inp: SolverInput) -> float:
         transfer = self.transfer_time(inp.est_bytes[unit])
@@ -299,7 +312,7 @@ def predicted_swap_stall(
     ``benchmarks/bench_hybrid.py`` performs).
     """
     window = model.overlap_window(inp)
-    return sum(
+    return left_sum(
         max(0.0, model.transfer_time(inp.est_bytes[u]) - window)
         for u in assignment.swap_units
     )

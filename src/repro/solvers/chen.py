@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from repro.solvers.base import Solver, SolverInput, register_solver
+from repro.solvers.base import Solver, SolverInput, left_sum, register_solver
 
 
 def _chain(inp: SolverInput) -> list[str]:
@@ -40,7 +40,7 @@ def _dropped_bytes(chain: list[str], keep: set[str], inp: SolverInput) -> int:
 def _recompute_cost(chain: list[str], keep: set[str], inp: SolverInput) -> float:
     if inp.est_time is None:
         return 0.0
-    return sum(inp.est_time[u] for u in chain if u not in keep)
+    return left_sum(inp.est_time[u] for u in chain if u not in keep)
 
 
 @register_solver

@@ -20,10 +20,14 @@ This models the CUDA caching allocator's actual structure:
   segment, allocation raises :class:`OutOfMemoryError` — the signal DTR's
   eviction loop reacts to.
 
-The placement policy — best fit, split-versus-absorb, neighbour
-coalescing — is one type, :class:`FreeList`, over plain integer
-addresses.  Segment ``k`` is based at ``k << SEGMENT_SHIFT``, so segments
-never touch and coalescing by address adjacency is segment-local by
+The placement policy — best fit, splitting, neighbour coalescing — is
+one type, :class:`FreeList`, over plain integer addresses.  Requests and
+segments are whole multiples of :data:`ALIGNMENT`, and so is every free
+block cut from them: a split leaves nothing or at least one quantum, so
+every block is exactly its request (CUDA's rule of keeping a remainder
+under 512 B with the block can never fire here, and is not modelled).
+Segment ``k`` is based at ``k << SEGMENT_SHIFT``, so segments never
+touch and coalescing by address adjacency is segment-local by
 construction.  :class:`CachingAllocator` adds segment reservation and
 accounting on top; the compiled tier (:mod:`repro.engine.compiled`)
 drives the same :class:`FreeList` from a canonical starting state.
@@ -36,7 +40,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 ALIGNMENT = 512  # bytes, the CUDA caching allocator quantum
-MIN_SPLIT_REMAINDER = 512
 SMALL_REQUEST = 1 << 20  # <1 MiB requests pool into small segments
 SMALL_SEGMENT = 2 << 20  # 2 MiB
 MEDIUM_REQUEST = 10 << 20  # <10 MiB requests pool into medium segments
@@ -108,14 +111,16 @@ class FreeList:
 
     Holds free blocks as ``(addr, size)``.  :meth:`take` serves a request
     from the smallest block that fits, ties broken toward the lowest
-    address, and splits off the tail only when at least
-    ``MIN_SPLIT_REMAINDER`` bytes would remain — otherwise the request
-    absorbs the whole block.  :meth:`give` returns a block, merging it
-    with the free blocks that end where it starts and start where it
-    ends.  The chosen block depends only on the *set* of free blocks,
-    never on insertion history, which is what lets two iterations with
-    equal free lists behave identically (the replay cache's steady-state
-    proof).
+    address, and splits off the tail, so the request gets exactly its
+    own size.  :meth:`give` returns a block, merging it with the free
+    blocks that end where it starts and start where it ends, so no two
+    free blocks ever touch.  The chosen block depends only on the *set*
+    of free blocks, never on insertion history, which is what lets two
+    iterations with equal free lists behave identically (the replay
+    cache's steady-state proof).  For the same reason a balanced run of
+    takes and gives — everything taken is given back — ends on the free
+    list it started from: the free bytes are the same set again, and a
+    coalesced list is determined by its bytes.
 
     Blocks are bucketed by size class (``size.bit_length()``, so class
     ``c`` holds sizes in the disjoint range ``[2^(c-1), 2^c)``) and each
@@ -147,21 +152,6 @@ class FreeList:
             for seg, offset, size in signature[3]
         )
 
-    def copy(self) -> "FreeList":
-        new = FreeList.__new__(FreeList)
-        new._by_addr = self._by_addr.copy()
-        new._end_at = self._end_at.copy()
-        new._buckets = {k: b.copy() for k, b in self._buckets.items()}
-        new._classes = self._classes.copy()
-        return new
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeList):
-            return NotImplemented
-        return self._by_addr == other._by_addr
-
-    __hash__ = None  # type: ignore[assignment]  # mutable
-
     def items(self):
         """``(addr, size)`` of every free block, in no particular order."""
         return self._by_addr.items()
@@ -179,8 +169,8 @@ class FreeList:
 
     # --------------------------------------------------------------- policy
 
-    def take(self, size: int) -> Optional[tuple[int, int]]:
-        """Carve ``size`` bytes by best fit: ``(addr, block size)``, or
+    def take(self, size: int) -> Optional[int]:
+        """Carve ``size`` bytes by best fit and return their address, or
         None when no free block is large enough."""
         classes = self._classes
         k = size.bit_length()
@@ -205,10 +195,9 @@ class FreeList:
             del classes[i]
         del self._by_addr[addr]
         del self._end_at[addr + found]
-        if found - size < MIN_SPLIT_REMAINDER:
-            return addr, found
-        self._insert(addr + size, found - size)
-        return addr, size
+        if found > size:
+            self._insert(addr + size, found - size)
+        return addr
 
     def give(self, addr: int, size: int) -> None:
         """Return ``[addr, addr + size)``, coalescing with free neighbours."""
@@ -333,11 +322,6 @@ class CachingAllocator:
         """Free bytes sitting inside reserved segments."""
         return self.stats.bytes_reserved - self.stats.bytes_in_use
 
-    @property
-    def bytes_available(self) -> int:
-        """Bytes an ideal (non-fragmenting) allocator could still serve."""
-        return self.capacity - self.stats.bytes_in_use
-
     def largest_free_block(self) -> int:
         """Largest single allocation currently satisfiable.
 
@@ -417,16 +401,15 @@ class CachingAllocator:
         if nbytes < 0:
             raise ValueError("cannot allocate a negative number of bytes")
         size = request_size(nbytes)
-        placed = self._free.take(size)
-        reserved = placed is None
+        addr = self._free.take(size)
+        reserved = addr is None
         if reserved:
-            placed = self._reserve(size)
-            if placed is None:
+            addr = self._reserve(size)
+            if addr is None:
                 self.stats.num_oom += 1
                 raise OutOfMemoryError(
                     size, self.bytes_free_cached, self.largest_free_block()
                 )
-        addr, size = placed
         stats = self.stats
         stats.bytes_in_use += size
         if stats.bytes_in_use > stats.peak_in_use:
@@ -443,9 +426,10 @@ class CachingAllocator:
         except OutOfMemoryError:
             return None
 
-    def _reserve(self, size: int) -> Optional[tuple[int, int]]:
+    def _reserve(self, size: int) -> Optional[int]:
         """Nothing cached fits: reserve a new segment if capacity allows and
-        serve ``size`` from it (None when even a tight fit cannot)."""
+        serve ``size`` from it (its address; None when even a tight fit
+        cannot)."""
         stats = self.stats
         seg_size = self._segment_size_for(size)
         if stats.bytes_reserved + seg_size > self.capacity:
@@ -517,12 +501,16 @@ class CachingAllocator:
         for k, seg in self._segments.items():
             assert seg.base == k << SEGMENT_SHIFT, "segment base off its index"
             assert 0 < seg.size <= _OFFSET_MASK, "segment size out of range"
+            # whole quanta everywhere: what makes every block its request
+            assert seg.size % ALIGNMENT == 0, "segment size not aligned"
             reserved += seg.size
         free_bytes = 0
         for addr, size in self._free.items():
             seg = self._segments.get(addr >> SEGMENT_SHIFT)
             assert seg is not None, "free block outside every segment"
             assert addr + size <= seg.base + seg.size, "free block overruns its segment"
+            assert (addr - seg.base) % ALIGNMENT == 0, "free block offset not aligned"
+            assert size % ALIGNMENT == 0, "free block size not aligned"
             free_bytes += size
         assert reserved == stats.bytes_reserved, "reserve accounting must match"
         assert free_bytes == stats.bytes_reserved - stats.bytes_in_use, (

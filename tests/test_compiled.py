@@ -29,7 +29,7 @@ from repro.models.base import BatchInput
 from repro.planners.base import ModelView
 from repro.planners.dtr import DTRPlanner
 from repro.planners.none import NoCheckpointPlanner
-from repro.tensorsim.allocator import FreeList
+from repro.tensorsim.allocator import ALIGNMENT, FreeList
 from repro.tensorsim.dtypes import FLOAT32
 from repro.tensorsim.faults import FaultPlan
 
@@ -421,8 +421,9 @@ def test_reactive_template_falls_back_over_the_budget():
     (template,) = cache._templates.values()
     assert template.peak_limit == budget
     state = states[-1]  # the allocator state ``over`` met
-    peak_overshoot, _ = template._placement(model, over, state)
-    assert state[0] + peak_overshoot > budget  # fits, but over
+    peak_overshoot = template._placement(model, over, state)
+    assert peak_overshoot is not None  # fits ...
+    assert state[0] + peak_overshoot > budget  # ... but over
     assert (cache.hits, cache.fallbacks) == (1, 1)
     assert [s.evictions > 0 for s in result.iterations] == [
         True, False, False, False, True,
@@ -478,8 +479,9 @@ def test_placements_survive_template_eviction(monkeypatch):
 
 
 def test_placement_memo_keys_the_starting_free_list():
-    """One op program placed from two allocator states never shares a
-    placement, and templates with equal programs share one per state."""
+    """One op program placed from two allocator states gets a verdict per
+    state, and templates with equal programs share the memo entry: one
+    peak per shape and one verdict per state."""
     model = make_tiny_model()
     batch = BatchInput((64, 64), FLOAT32)
     vec = model.request_sizes(batch)
@@ -493,16 +495,25 @@ def test_placement_memo_keys_the_starting_free_list():
         )
         for _ in range(2)
     )
-    # one free segment, empty: (in use, reserved, segments, free blocks)
+    # one free segment, empty: (in use, reserved, segments, free blocks);
+    # whole quanta, like every segment the allocator reserves
     roomy, tight = (
-        (0, size, (size,), ((0, 0, size),)) for size in (64 * MB, sum(vec) // 2)
+        (0, size, (size,), ((0, 0, size),))
+        for size in (64 * MB, sum(vec) // 2 // ALIGNMENT * ALIGNMENT)
     )
-    placed = template._placement(model, batch, roomy)
-    blocks, peak = template._place(FreeList.from_signature(roomy), list(vec))
-    assert placed == (peak, ()) and blocks == list(vec)
+    # every request is live at once before the first free
+    assert template._placement(model, batch, roomy) == sum(vec)
+    free = FreeList.from_signature(roomy)
+    assert template._place(free, list(vec))
+    assert list(free.items()) == [(0, 64 * MB)]  # given back as it was
     assert template._placement(model, batch, tight) is None  # all n do not fit
-    assert twin._placement(model, batch, roomy) is placed
-    assert len(model.placements(batch)) == 2
+    memo = model.placements(batch)
+    entry = {template.program: (sum(vec), {roomy[3]: True, tight[3]: False})}
+    assert memo == entry
+    assert twin.program == template.program
+    assert twin._placement(model, batch, roomy) == sum(vec)
+    assert twin._placement(model, batch, tight) is None
+    assert memo == entry
 
 
 def test_compiled_disabled_flag():

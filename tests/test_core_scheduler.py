@@ -1,5 +1,8 @@
 """Tests for Algorithm 1 (greedy bucketed scheduler) and the knapsack alternative."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.solvers import (
     SolverInput,
     predicted_swap_stall,
 )
+from repro.solvers.chen import _recompute_cost
 
 MB = 1 << 20
 
@@ -257,6 +261,34 @@ def test_predicted_swap_stall_matches_loop_pricing():
     # empty assignment -> no stall
     empty = HybridGreedyScheduler(model).assign(timed_inp(excess=0))
     assert predicted_swap_stall(model, empty, measured) == 0.0
+
+
+def test_time_sums_are_left_folds():
+    """Time sums on the plan path add left to right from 0.0, as the
+    builtin ``sum()`` does up to Python 3.11.  Since 3.12 it compensates,
+    which on these times rounds to a different result."""
+    times = {"a": 1e16, "b": 1.0, "c": -1e16}
+    assert math.fsum(times.values()) == 1.0  # what a compensated sum gives
+    timed = inp(dict.fromkeys(times, MB), MB, est_time=times, bwd_time=times)
+    model = PcieCostModel(pcie_bandwidth=GBPS)
+    assert model.overlap_window(timed) == 0.0  # mean measured backward
+    ratio = PcieCostModel(pcie_bandwidth=GBPS, bwd_ratio=2.0)
+    assert ratio.overlap_window(timed) == 0.0  # ratio x mean forward
+    assert model.transfer_envelope(timed) == 0.0
+    assert _recompute_cost(list(times), set(), timed) == 0.0
+
+    class Stalls:
+        """Swaps that stall 1e16 s, 1 s and 1 s, in the plan's order."""
+
+        def overlap_window(self, inp):
+            return 0.0
+
+        def transfer_time(self, nbytes):
+            return (1e16, 1.0, 1.0)[nbytes]
+
+    plan = SimpleNamespace(swap_units=("a", "b", "c"))
+    swaps = inp({"a": 0, "b": 1, "c": 2}, 0)
+    assert predicted_swap_stall(Stalls(), plan, swaps) == 1e16  # fsum: 1e16 + 2
 
 
 # --------------------------------------------------------------- properties

@@ -321,36 +321,6 @@ def test_vectorized_fallback_for_non_polynomial_regressors():
     assert est.predict_all_bytes(1_234) == expect
 
 
-def test_batch_prediction_matches_single_size_calls():
-    """evaluate_many / predict_all_bytes_many are bitwise identical to
-    the one-size-at-a-time paths, cached and uncached."""
-    est = LightningMemoryEstimator()
-    est.fit(_FakeCollector(_fake_data()))
-    sizes = [7, 50, 1_234, 49_999, 80_000]
-    # stacked Horner: batch grid column == scalar evaluation, bitwise
-    grid = est._mem_stack.evaluate_many(np.array(sizes))
-    for col, size in enumerate(sizes):
-        assert np.array_equal(grid[:, col], est._mem_stack.evaluate(size))
-    # warm one size so the batch path mixes cached and uncached entries
-    est.predict_all_bytes(1_234)
-    batch = est.predict_all_bytes_many(sizes)
-    assert set(batch) == set(sizes)
-    for size in sizes:
-        assert batch[size] == est.predict_all_bytes(size)
-    # returned dicts are fresh (caller mutation must not poison the memo)
-    batch[7]["u0"] = -1
-    assert est.predict_all_bytes(7)["u0"] != -1
-
-
-def test_batch_prediction_fallback_for_non_polynomial_regressors():
-    est = LightningMemoryEstimator(regressor_factory=DecisionTreeRegressor)
-    est.fit(_FakeCollector(_fake_data(num_units=5)))
-    assert est._mem_stack is None
-    batch = est.predict_all_bytes_many([100, 2_000])
-    assert batch[100] == est.predict_all_bytes(100)
-    assert batch[2_000] == est.predict_all_bytes(2_000)
-
-
 def test_prediction_memoization_isolated_and_cleared_on_refit():
     est = LightningMemoryEstimator()
     est.fit(_FakeCollector(_fake_data(seed=1)))

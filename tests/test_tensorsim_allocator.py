@@ -228,10 +228,12 @@ class _ReferenceAllocator:
     Each segment is a list of ``[offset, size, free]`` blocks tiling it,
     and every request scans all of them: best fit = the smallest free
     block that fits, ties to the lowest address (segments in reservation
-    order, then offset); split only when at least 512 B would remain;
-    coalesce with free neighbours inside the segment.  Segment sizing,
-    release-on-pressure and the tight-fit fallback follow the CUDA
-    caching allocator as ``docs/substrate.md`` describes.
+    order, then offset); split only when at least 512 B would remain
+    (CUDA's rule, which :class:`FreeList` drops because alignment keeps
+    it from ever firing); coalesce with free neighbours inside the
+    segment.  Segment sizing, release-on-pressure and the tight-fit
+    fallback follow the CUDA caching allocator as ``docs/substrate.md``
+    describes.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -346,8 +348,8 @@ def _programs(request_bytes):
 
 
 #: programs over a few whole quanta, where equal-size free blocks (the
-#: address tie-break) and remainders of exactly 512 B (the split
-#: threshold) are common, or over sizes of every segment class
+#: address tie-break) and remainders of exactly 512 B (the reference's
+#: split threshold) are common, or over sizes of every segment class
 _any_program = st.one_of(_programs(_quanta), _programs(_any_bytes))
 
 
@@ -394,9 +396,11 @@ def test_allocator_matches_linear_scan_reference(capacity, program):
 )
 def test_template_path_matches_live_allocator(prefix, steps):
     """A balanced program placed from ``state_signature()`` by the compiled
-    tier gives the live allocator's placements, block sizes, peak and
-    round-trip verdict, and declines whenever the live run reserves a
-    segment."""
+    tier gives the live allocator's placements, and declines exactly when
+    the live run reserves a segment.  Whenever it places, the live run
+    bears out what the compiled tier no longer computes: the allocator
+    ends at its starting signature, every block is its request, and the
+    peak is the in-use bytes plus the running maximum of live requests."""
     alloc = CachingAllocator(64 * MB)
     held = []
     for op, nbytes, pick in prefix:
@@ -411,7 +415,7 @@ def test_template_path_matches_live_allocator(prefix, steps):
 
     # each step allocates one request, then frees up to two live ones;
     # whatever is still live at the end is freed last-in first-out
-    nbytes = [step[0] for step in steps]
+    rsizes = [request_size(step[0]) for step in steps]
     program: list[int] = []
     pending: list[int] = []
     for k, (_nb, nfree, pick) in enumerate(steps):
@@ -429,24 +433,26 @@ def test_template_path_matches_live_allocator(prefix, steps):
     alloc.op_log = []
     free = FreeList.from_signature(signature)
     blocks = {}
-    sizes = [0] * len(steps)
+    live = overshoot = 0
     fits = True
     for k in program:
         if k >= 0:
-            block = alloc.try_malloc(nbytes[k])
+            block = alloc.try_malloc(steps[k][0])
             if block is None or alloc.op_log[-1][4]:
                 fits = False
                 break
-            addr, sizes[k] = free.take(request_size(nbytes[k]))
+            addr = free.take(rsizes[k])
             segment, offset, size = _placement(block)
-            assert (*divmod(addr, 1 << SEGMENT_SHIFT), sizes[k]) == (
-                rank[segment], offset, size
-            )
+            assert divmod(addr, 1 << SEGMENT_SHIFT) == (rank[segment], offset)
+            assert size == rsizes[k]
             blocks[k] = (block, addr)
+            live += rsizes[k]
+            overshoot = max(overshoot, live)
         else:
             block, addr = blocks.pop(-k - 1)
             alloc.free(block)
             free.give(addr, block.size)
+            live -= rsizes[-k - 1]
     alloc.op_log = None
 
     template = CompiledTemplate(
@@ -454,14 +460,7 @@ def test_template_path_matches_live_allocator(prefix, steps):
         unit_names=(), layout=(), upkeep_rate=0.0, charge_prog=(),
         measure_spec=(), const_stats=None,
     )
-    placed = template._place(
-        FreeList.from_signature(signature),
-        [request_size(nb) for nb in nbytes],
-    )
-    if not fits:
-        assert placed is None
-        return
-    assert (placed is not None) == (alloc.state_signature() == signature)
-    if placed is not None:
-        assert placed[0] == sizes
-        assert signature[0] + placed[1] == alloc.stats.peak_in_use
+    assert template._place(FreeList.from_signature(signature), rsizes) == fits
+    if fits:
+        assert alloc.state_signature() == signature
+        assert alloc.stats.peak_in_use == signature[0] + overshoot
