@@ -20,9 +20,9 @@ makes the lifecycle an explicit state machine:
 fit or refit (enforced by the ``lifecycle-protocol`` replint rule): the
 planner asks it ``needs_collection(size)`` before planning and
 ``ensure_fitted()`` before predicting, and hands it every iteration's
-surviving stats through ``observe`` — either directly or via the typed
-event bus (:class:`~repro.engine.events.IterationObserved`), to which
-the executor attaches the controller automatically.
+surviving stats through ``observe``.  The controller only publishes on
+the executor's event bus (lifecycle transitions, drift, refits); it
+reads nothing from it.
 
 On top of the state machine sit the drift monitors
 (:mod:`repro.core.drift`): a Page–Hinkley test over the signed residual
@@ -58,7 +58,6 @@ from repro.engine.events import (
     DriftDetected,
     EstimatorRefit,
     EventBus,
-    IterationObserved,
     LifecycleTransition,
 )
 from repro.engine.stats import IterationStats
@@ -139,26 +138,18 @@ class LifecycleController:
         self.drift_events = 0
         self._base_samples: list[tuple[int, int]] = []
         self._bus: Optional[EventBus] = None
-        self._last_observed: Optional[IterationStats] = None
         self._iteration = 0
 
     # ---------------------------------------------------------------- wiring
 
     def attach(self, bus: EventBus) -> "LifecycleController":
-        """Wire the controller to an executor's event bus.
+        """Publish lifecycle events on an executor's event bus.
 
-        Subscribes to :class:`~repro.engine.events.IterationObserved`
-        (the post-recovery observation stream) and keeps the bus for
-        publishing lifecycle events.  The executor calls this
-        automatically for any planner exposing a ``lifecycle`` attribute.
+        The executor calls this for any planner exposing a ``lifecycle``
+        attribute.
         """
         self._bus = bus
-        bus.subscribe(self, IterationObserved)
         return self
-
-    def __call__(self, event: IterationObserved) -> None:
-        """Bus entry point: observe each surviving iteration's stats."""
-        self.observe(event.stats)
 
     # ------------------------------------------------------------- decisions
 
@@ -206,16 +197,7 @@ class LifecycleController:
     # --------------------------------------------------------------- observe
 
     def observe(self, stats: IterationStats) -> None:
-        """Feed one iteration's surviving stats into the lifecycle.
-
-        Idempotent per stats object: when an executor drives the
-        controller through the bus, the planner's own ``observe`` call
-        with the same object is a no-op — so the controller behaves
-        identically with or without a bus.
-        """
-        if stats is self._last_observed:
-            return
-        self._last_observed = stats
+        """Feed one iteration's surviving stats into the lifecycle."""
         self._iteration = stats.iteration
         if stats.is_collect:
             self.collector.ingest(stats.measurements)

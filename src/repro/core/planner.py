@@ -274,11 +274,9 @@ class MimosePlanner(Planner):
 
     def observe(self, stats: IterationStats) -> None:
         # The lifecycle controller owns collection ingest, refits and the
-        # residual/fragmentation feedback (it may already have processed
-        # this stats object through the event bus; the call is idempotent
-        # per object).  The prediction rides on the stats (copied from
-        # the issuing plan by the executor), so cache-served iterations
-        # feed the trackers too.
+        # residual/fragmentation feedback.  The prediction rides on the
+        # stats (copied from the issuing plan by the executor), so
+        # cache-served iterations feed the trackers too.
         self.lifecycle.observe(stats)
         if stats.oom and not stats.is_collect:
             # Misprediction: widen the reserve and drop stale plans (the

@@ -12,7 +12,7 @@ execution modes lives here, in one strategy class per mode:
   al.); swap units ride the PCIe copy engine (Capuchin-style hybrid).
 * :class:`CollectStrategy` — Mimose's sheltered execution: every
   checkpointable unit is checkpointed (Sublinear footprint) and runs its
-  forward twice (Fig 7), emitting per-unit measurements; the sheltered
+  forward twice (Fig 7), taking per-unit measurements; the sheltered
   backward additionally stamps each unit's backward duration onto its
   measurement (the series the swap cost model prices overlap from).
 * :class:`ReactiveStrategy` — DTR semantics: nothing is dropped up
@@ -24,10 +24,14 @@ strategies:
 
 * :class:`SwapEngine` — the PCIe copy engine (busy-until timestamp,
   in-flight swap-outs, lookahead-1 prefetch);
+* :class:`IterationContext` — folds every time charge into its stats
+  component and logs it, and counts checkpointed units, evictions,
+  swaps and measurements, as the strategies call it;
 * :class:`StatsBuilder` — assembles :class:`~repro.engine.stats
-  .IterationStats` from the event stream;
-* fault-window arming and replay capture — observers in
-  :mod:`repro.engine.events`.
+  .IterationStats` from the context.
+
+Events on the bus (:mod:`repro.engine.events`) are published after the
+context has recorded what they describe, and only when someone listens.
 
 Modelling notes (deviations from a real runtime): intra-unit transients
 are allocated before the unit's compute time is charged (a slightly
@@ -74,6 +78,12 @@ from repro.tensorsim.tensor import SimTensor
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executor import TrainingExecutor
     from repro.models.base import BatchInput
+
+#: the components an :meth:`IterationContext.charge` may name
+_COMPONENTS = (
+    "fwd", "bwd", "recompute", "collect", "upkeep", "optimizer",
+    "swap_stall", "eviction_search",
+)
 
 
 @dataclass(slots=True)
@@ -162,7 +172,9 @@ class SwapEngine:
         done = start + ctx.device.transfer_time(nbytes)
         self.copy_free = done
         self.pending.append((done, rt))
-        ctx.bus.emit(SwapOut(ctx.iteration, rt.name, nbytes, done))
+        ctx.num_swapped += 1
+        if ctx.bus.wants(SwapOut):
+            ctx.bus.emit(SwapOut(ctx.iteration, rt.name, nbytes, done))
 
     def issue_swapin(self, ctx: "IterationContext", rt: UnitRuntime) -> None:
         """Start prefetching an offloaded unit's activations (idempotent)."""
@@ -196,9 +208,10 @@ class IterationContext:
     """Everything one iteration's pipeline stages share.
 
     Owns the per-iteration mutable state (unit runtimes, the input
-    tensor) and the tensor-lifetime helpers the strategies compose.
-    Tensor allocation (:meth:`alloc_tensor`) dispatches through the
-    strategy so reactive planners can interpose eviction.
+    tensor, what the stats report) and the tensor-lifetime helpers the
+    strategies compose.  Tensor allocation (:meth:`alloc_tensor`)
+    dispatches through the strategy so reactive planners can interpose
+    eviction.
     """
 
     executor: "TrainingExecutor"
@@ -215,6 +228,19 @@ class IterationContext:
     #: simulated seconds charged so far this iteration: the copy engine's
     #: clock (see :class:`SwapEngine`)
     elapsed: float = 0.0
+    #: seconds per stats component, each summed in charge order
+    times: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(_COMPONENTS, 0.0)
+    )
+    #: every charge as ``(component, seconds, unit)``, in call order: the
+    #: charge stream the compiled tier certifies templates from
+    charges: list[tuple[str, float, Optional[int]]] = field(
+        default_factory=list
+    )
+    measurements: list[UnitMeasurement] = field(default_factory=list)
+    num_checkpointed: int = 0
+    evictions: int = 0
+    num_swapped: int = 0
 
     # ----------------------------------------------------------- shortcuts
 
@@ -251,11 +277,14 @@ class IterationContext:
     def charge(
         self, component: str, seconds: float, unit: Optional[int] = None
     ) -> None:
-        """Advance the clock and publish the charge to one stats component,
-        naming the unit (its index in ``model.units``) the time is spent on."""
+        """Advance the clock and charge one stats component, naming the
+        unit (its index in ``model.units``) the time is spent on."""
         self.clock.advance(seconds)
         self.elapsed += seconds
-        self.bus.emit(TimeCharged(component, seconds, unit))
+        self.times[component] += seconds
+        self.charges.append((component, seconds, unit))
+        if self.bus.wants(TimeCharged):
+            self.bus.emit(TimeCharged(component, seconds, unit))
 
     def alloc_tensor(self, tensor: SimTensor) -> None:
         self.strategy.alloc(self, tensor)
@@ -356,30 +385,35 @@ class IterationContext:
     # -------------------------------------------------------------- events
 
     def emit_unit_forward(self, rt: UnitRuntime, checkpointed: bool) -> None:
-        alloc = self.allocator
-        self.bus.emit(
-            UnitForward(
-                self.iteration,
-                rt.name,
-                self.clock.now,
-                alloc.bytes_in_use,
-                alloc.bytes_reserved,
-                rt.fwd_time,
-                checkpointed,
+        """Count a checkpointed (or segment member) unit's finished forward."""
+        if checkpointed:
+            self.num_checkpointed += 1
+        if self.bus.wants(UnitForward):
+            alloc = self.allocator
+            self.bus.emit(
+                UnitForward(
+                    self.iteration,
+                    rt.name,
+                    self.clock.now,
+                    alloc.bytes_in_use,
+                    alloc.bytes_reserved,
+                    rt.fwd_time,
+                    checkpointed,
+                )
             )
-        )
 
     def emit_unit_backward(self, rt: UnitRuntime) -> None:
-        alloc = self.allocator
-        self.bus.emit(
-            UnitBackward(
-                self.iteration,
-                rt.name,
-                self.clock.now,
-                alloc.bytes_in_use,
-                alloc.bytes_reserved,
+        if self.bus.wants(UnitBackward):
+            alloc = self.allocator
+            self.bus.emit(
+                UnitBackward(
+                    self.iteration,
+                    rt.name,
+                    self.clock.now,
+                    alloc.bytes_in_use,
+                    alloc.bytes_reserved,
+                )
             )
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +616,10 @@ class CollectStrategy(ExecutionStrategy):
 
     mode = ExecutionMode.COLLECT
 
+    def __init__(self) -> None:
+        #: measured unit -> its index in ``ctx.measurements``
+        self.measured: dict[str, int] = {}
+
     def allows_replay(self, executor: "TrainingExecutor") -> bool:
         # the measurement-noise stream is stateful and must advance
         return executor.noise_rng is None
@@ -602,14 +640,13 @@ class CollectStrategy(ExecutionStrategy):
                     meas_t = rt.fwd_time * max(jitter[1], 0.0)
                 if ctx.faults is not None:
                     saved = ctx.faults.perturb_measurement(saved)
-                ctx.bus.emit(
-                    MeasurementTaken(
-                        ctx.iteration,
-                        UnitMeasurement(
-                            unit.name, ctx.batch.input_size, saved, meas_t
-                        ),
-                    )
+                measurement = UnitMeasurement(
+                    unit.name, ctx.batch.input_size, saved, meas_t
                 )
+                self.measured[unit.name] = len(ctx.measurements)
+                ctx.measurements.append(measurement)
+                if ctx.bus.wants(MeasurementTaken):
+                    ctx.bus.emit(MeasurementTaken(ctx.iteration, measurement))
                 # the second, shuttling forward pass (Fig 7)
                 ctx.charge("collect", rt.fwd_time, rt.index)
                 # sheltered execution keeps the Sublinear footprint
@@ -621,22 +658,20 @@ class CollectStrategy(ExecutionStrategy):
             ctx.emit_unit_forward(rt, unit.checkpointable)
 
     def run_backward(self, ctx: IterationContext) -> None:
-        # The sheltered backward is also a measurement pass: each
-        # checkpointable unit's backward duration is stamped onto its
-        # pending measurement (via BackwardMeasured), giving the
-        # collector the backward series the cost model prices swap
-        # overlap windows from — measured execution, not a ratio.  The
-        # stopwatch is the *simulated* clock charge, never host time
+        # The sheltered backward is also a measurement pass: each measured
+        # unit's backward duration is stamped onto its forward
+        # measurement, in place (the measurements keep forward order),
+        # giving the collector the backward series the cost model prices
+        # swap overlap windows from — measured execution, not a ratio.
+        # The stopwatch is the *simulated* clock charge, never host time
         # (replint's wall-clock rule keeps it that way).
         noise_rng = ctx.executor.noise_rng
-        checkpointable = {
-            u.name for u in ctx.model.units if u.checkpointable
-        }
         for rt in reversed(ctx.runtimes):
             self.recompute_if_needed(ctx, rt)
             bwd_t = rt.bwd_time
             ctx.charge("bwd", bwd_t, rt.index)
-            if rt.name in checkpointable:
+            i = self.measured.get(rt.name)
+            if i is not None:
                 meas_t = bwd_t
                 if noise_rng is not None:
                     # drawn after every forward-pass jitter of this
@@ -648,9 +683,13 @@ class CollectStrategy(ExecutionStrategy):
                         ),
                         0.0,
                     )
-                ctx.bus.emit(
-                    BackwardMeasured(ctx.iteration, rt.name, meas_t)
+                ctx.measurements[i] = dc_replace(
+                    ctx.measurements[i], bwd_time=meas_t
                 )
+                if ctx.bus.wants(BackwardMeasured):
+                    ctx.bus.emit(
+                        BackwardMeasured(ctx.iteration, rt.name, meas_t)
+                    )
             ctx.release_unit(rt)
             ctx.emit_unit_backward(rt)
 
@@ -751,12 +790,15 @@ class ReactiveStrategy(ExecutionStrategy):
         if victim is None:
             return False
         rt = self.evictable.pop(victim)
-        nbytes = pool[victim].nbytes
         ctx.drop_internals(rt)
         rt.recompute_needed = True
-        ctx.bus.emit(
-            TensorEvicted(ctx.iteration, victim, nbytes, ctx.clock.now)
-        )
+        ctx.evictions += 1
+        if ctx.bus.wants(TensorEvicted):
+            ctx.bus.emit(
+                TensorEvicted(
+                    ctx.iteration, victim, pool[victim].nbytes, ctx.clock.now
+                )
+            )
         return True
 
 
@@ -840,87 +882,19 @@ def segment_info(
 
 
 class StatsBuilder:
-    """Assembles :class:`IterationStats` from the event stream.
+    """Assembles :class:`IterationStats` from an iteration's context.
 
-    Time components accumulate in event-emission order, which matches
-    the charge order of the pre-refactor executor exactly — float
-    addition is not associative, and ``RunResult.digest`` is pinned
-    bit-identical.  Eviction-search time is kept in its own accumulator
-    and folded into the planning component once, at :meth:`finalize`
-    (the planner's search *is* planning work, Table III).
-
-    While :attr:`charges` is a list, every ``TimeCharged`` event is also
-    appended to it — the charge stream the compiled tier certifies
-    templates from; the executor arms and disarms it per iteration.
+    The time components were summed in charge order by
+    :meth:`IterationContext.charge`, which matches the charge order of
+    the pre-refactor executor exactly — float addition is not
+    associative, and ``RunResult.digest`` is pinned bit-identical.
+    Eviction-search time is kept in its own sum and folded into the
+    planning component once, here (the planner's search *is* planning
+    work, Table III).
     """
 
-    _COMPONENTS = (
-        "fwd", "bwd", "recompute", "collect",
-        "upkeep", "optimizer", "swap_stall",
-    )
-
-    def __init__(self) -> None:
-        self._comp: dict[str, float] = {}
-        self._eviction_search = 0.0
-        self._planning = 0.0
-        self._measurements: list[UnitMeasurement] = []
-        self._meas_index: dict[str, int] = {}
-        self._num_checkpointed = 0
-        self._evictions = 0
-        self._num_swapped = 0
-        self.charges: Optional[list[TimeCharged]] = None
-
-    def attach(self, bus) -> "StatsBuilder":
-        bus.subscribe(
-            self,
-            TimeCharged, UnitForward, MeasurementTaken,
-            BackwardMeasured, TensorEvicted, SwapOut,
-        )
-        return self
-
-    def begin(self, planning_time: float) -> None:
-        self._comp = {c: 0.0 for c in self._COMPONENTS}
-        self._planning = planning_time
-        self._eviction_search = 0.0
-        self._measurements = []
-        self._meas_index = {}
-        self._num_checkpointed = 0
-        self._evictions = 0
-        self._num_swapped = 0
-
-    def __call__(self, event) -> None:
-        t = type(event)
-        if t is TimeCharged:
-            if event.component == "eviction_search":
-                self._eviction_search += event.seconds
-            else:
-                self._comp[event.component] += event.seconds
-            if self.charges is not None:
-                self.charges.append(event)
-        elif t is UnitForward:
-            if event.checkpointed:
-                self._num_checkpointed += 1
-        elif t is MeasurementTaken:
-            self._meas_index[event.measurement.unit_name] = len(
-                self._measurements
-            )
-            self._measurements.append(event.measurement)
-        elif t is BackwardMeasured:
-            # complete the unit's forward-pass measurement in place; the
-            # measurements tuple keeps forward emission order, so digests
-            # and every order-sensitive consumer are unaffected
-            i = self._meas_index.get(event.unit)
-            if i is not None:
-                self._measurements[i] = dc_replace(
-                    self._measurements[i], bwd_time=event.seconds
-                )
-        elif t is TensorEvicted:
-            self._evictions += 1
-        elif t is SwapOut:
-            self._num_swapped += 1
-
     def finalize(self, ctx: IterationContext, oom: bool) -> IterationStats:
-        comp = self._comp
+        comp = ctx.times
         executor = ctx.executor
         alloc = executor.allocator
         decision = ctx.decision
@@ -930,22 +904,22 @@ class StatsBuilder:
             input_shape=ctx.batch.shape,
             mode=decision.mode.value,
             plan_label=decision.plan.label or executor.planner.name,
-            num_checkpointed=self._num_checkpointed,
+            num_checkpointed=ctx.num_checkpointed,
             fwd_time=comp["fwd"],
             bwd_time=comp["bwd"],
             recompute_time=comp["recompute"],
             collect_time=comp["collect"],
-            planning_time=self._planning + self._eviction_search,
+            planning_time=decision.planning_time + comp["eviction_search"],
             upkeep_time=comp["upkeep"],
             optimizer_time=comp["optimizer"],
             peak_in_use=alloc.stats.peak_in_use,
             peak_reserved=alloc.stats.peak_reserved,
             end_in_use=alloc.bytes_in_use,
             fragmentation_bytes=alloc.fragmentation_bytes(),
-            evictions=self._evictions,
+            evictions=ctx.evictions,
             oom=oom,
-            measurements=tuple(self._measurements),
+            measurements=tuple(ctx.measurements),
             swap_stall_time=comp["swap_stall"],
-            num_swapped=self._num_swapped,
+            num_swapped=ctx.num_swapped,
             predicted_peak_bytes=decision.plan.predicted_peak_bytes,
         )

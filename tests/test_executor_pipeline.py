@@ -122,7 +122,8 @@ def test_digest_parity_serial_vs_parallel():
 
 
 def test_observers_do_not_perturb_digest():
-    """The bus is observe-only: attaching subscribers changes nothing."""
+    """The bus is observe-only: attaching subscribers changes nothing,
+    and neither does a bus with none, even the engine's own."""
     task = load_task("TC-Bert", iterations=10, seed=0)
     plain = run_task(task, "mimose", int(4 * GB), max_iterations=10)
     task = load_task("TC-Bert", iterations=10, seed=0)
@@ -137,6 +138,31 @@ def test_observers_do_not_perturb_digest():
     assert plain.digest() == observed.digest()
     assert counter.counts["IterationStart"] == 10
     assert counter.counts["IterationEnd"] == 10
+
+    # Fault windows, refits and drift: swapping the executor's bus for an
+    # empty one must leave a faulted, drifting Mimose run as it was.
+    def drifting_run(observers=()):
+        return run_task(
+            load_task("TC-Bert", iterations=40, seed=0,
+                      drift_scenario="curriculum"),
+            "mimose",
+            int(3 * GB),
+            max_iterations=40,
+            faults=FaultPlan.parse("frag:start=12,iters=3,bytes=800M"),
+            drift_detection=True,
+            observers=observers,
+        )
+
+    def detach(executor):
+        executor.events = EventBus()
+
+    plain = drifting_run()
+    assert plain.refits and plain.drift_events and plain.total_retries
+    bare = drifting_run(observers=[detach])
+    assert bare.digest() == plain.digest()
+    assert (bare.refits, bare.drift_events) == (
+        plain.refits, plain.drift_events
+    )
 
 
 # ------------------------------------------------------------------ event bus

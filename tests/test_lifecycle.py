@@ -276,14 +276,6 @@ def test_initial_collection_to_fitted():
     assert c.state is LifecycleState.MONITORING
 
 
-def test_observe_is_idempotent_per_stats_object():
-    c = make_controller()
-    stats = collect_stats(0, 10)
-    c.observe(stats)
-    c.observe(stats)  # bus delivery followed by a direct planner call
-    assert c.collector.iterations_collected == 1
-
-
 def test_out_of_range_input_triggers_recollection_and_refit():
     c = make_controller()
     next_it = fit_controller(c)
