@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.tensorsim.clock import left_sum
+
 
 @dataclass(frozen=True, slots=True)
 class UnitMeasurement:
@@ -164,9 +166,12 @@ class RunResult:
     def num_iterations(self) -> int:
         return len(self.iterations)
 
+    # Float sums over iterations are left folds (``left_sum``): from
+    # Python 3.12 the builtin ``sum()`` compensates and rounds differently.
+
     @property
     def total_time(self) -> float:
-        return sum(s.total_time for s in self.iterations)
+        return left_sum(s.total_time for s in self.iterations)
 
     @property
     def peak_in_use(self) -> int:
@@ -223,14 +228,16 @@ class RunResult:
             "upkeep_time",
             "optimizer_time",
         )
-        return {k: sum(getattr(s, k) for s in self.iterations) for k in keys}
+        return {
+            k: left_sum(getattr(s, k) for s in self.iterations) for k in keys
+        }
 
     def overhead_fraction(self) -> float:
         """Fraction of total time not spent on productive compute."""
         total = self.total_time
         if total == 0:
             return 0.0
-        return sum(s.overhead_time for s in self.iterations) / total
+        return left_sum(s.overhead_time for s in self.iterations) / total
 
     def normalized_time(self, baseline: "RunResult") -> float:
         """This run's total time relative to a baseline run (Fig 10 y-axis)."""

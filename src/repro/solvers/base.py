@@ -25,22 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Mapping, Optional, Protocol
 
+from repro.tensorsim.clock import left_sum
 from repro.tensorsim.device import DeviceModel
-
-
-def left_sum(values: Iterable[float]) -> float:
-    """``values`` added left to right, from 0.0.
-
-    The builtin ``sum()`` of floats is this fold up to Python 3.11 and a
-    compensated sum from 3.12, which rounds differently; plans and their
-    costs must not depend on the interpreter.
-    """
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,10 +65,6 @@ class CostModel(Protocol):
 
     def recompute_cost(self, unit: str, inp: SolverInput) -> float:
         """Seconds to rematerialise the unit (its forward time)."""
-        ...
-
-    def swap_cost(self, unit: str, inp: SolverInput) -> float:
-        """Stall seconds swapping costs beyond the backward overlap."""
         ...
 
     def transfer_time(self, nbytes: int) -> float:
@@ -196,10 +180,6 @@ class PcieCostModel:
             return 0.0
         return self.envelope_fraction * left_sum(inp.est_time.values())
 
-    def swap_cost(self, unit: str, inp: SolverInput) -> float:
-        transfer = self.transfer_time(inp.est_bytes[unit])
-        return max(0.0, transfer - self.overlap_window(inp))
-
 
 class Solver:
     """Strategy interface: assign a memory action per unit.
@@ -309,12 +289,13 @@ def predicted_swap_stall(
     assignment's swapped units — the same residual the selection loop
     priced, aggregated so it can be compared against the simulated
     ``swap_stall_time`` a run actually reports (the calibration check
-    ``benchmarks/bench_hybrid.py`` performs).
+    ``benchmarks/bench_hybrid.py`` performs).  Units are summed in name
+    order: a frozenset's order follows ``PYTHONHASHSEED``.
     """
     window = model.overlap_window(inp)
     return left_sum(
         max(0.0, model.transfer_time(inp.est_bytes[u]) - window)
-        for u in assignment.swap_units
+        for u in sorted(assignment.swap_units)
     )
 
 
@@ -340,13 +321,14 @@ def plan_cost(
     units charge the residual stall beyond the overlap window — exactly
     the per-unit prices the hybrid loop and the exact solver optimise,
     so costs (and therefore optimality gaps) are comparable across every
-    solver in the registry.
+    solver in the registry.  Units are summed in name order, as in
+    :func:`predicted_swap_stall`.
     """
     window = model.overlap_window(inp)
     cost = 0.0
-    for unit in assignment.checkpoint_units | assignment.segment_units:
+    for unit in sorted(assignment.checkpoint_units | assignment.segment_units):
         cost += model.recompute_cost(unit, inp)
-    for unit in assignment.swap_units:
+    for unit in sorted(assignment.swap_units):
         cost += max(0.0, model.transfer_time(inp.est_bytes[unit]) - window)
     return cost
 

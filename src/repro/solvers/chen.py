@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 
-from repro.solvers.base import Solver, SolverInput, left_sum, register_solver
+from repro.solvers.base import Solver, SolverInput, register_solver
+from repro.tensorsim.clock import left_sum
 
 
 def _chain(inp: SolverInput) -> list[str]:

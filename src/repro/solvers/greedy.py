@@ -221,9 +221,9 @@ class HybridGreedyScheduler(Solver):
             return ActionAssignment()
         model = self.cost_model
         # One O(n) envelope + window per call, not per unit: the per-unit
-        # swap price is max(0, transfer - window), float-identical to
-        # model.swap_cost(name, inp) but without re-deriving the window
-        # (itself an O(n) mean) inside the selection loop.
+        # swap price is max(0, transfer - window), as in plan_cost, with
+        # the window (itself an O(n) mean) derived once outside the
+        # selection loop.
         envelope = model.transfer_envelope(inp)
         window = model.overlap_window(inp)
         drop: set[str] = set()

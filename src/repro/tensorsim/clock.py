@@ -10,6 +10,21 @@ them in Tables III–V.
 
 from __future__ import annotations
 
+from typing import Iterable
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, from 0.0.
+
+    The builtin ``sum()`` of floats is this fold up to Python 3.11 and a
+    compensated sum from 3.12, which rounds differently; simulated times,
+    plans and their costs must not depend on the interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
 
 class SimClock:
     """A monotonically advancing simulated clock, in seconds."""

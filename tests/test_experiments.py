@@ -1,5 +1,8 @@
 """Tests for the experiment harness: tasks, runner, and stats aggregation."""
 
+import builtins
+import math
+
 import pytest
 
 from repro.engine.stats import IterationStats, RunResult, summarize_runs
@@ -168,6 +171,28 @@ def test_run_result_aggregation():
     assert r.mean_iteration_time() == pytest.approx(4.0)
     assert r.time_breakdown()["fwd_time"] == pytest.approx(2.0)
     assert 0 < r.overhead_fraction() < 1
+
+
+def test_run_time_sums_are_left_folds(monkeypatch):
+    """Run-level time sums add left to right from 0.0, as the builtin
+    ``sum()`` does up to Python 3.11.  Since 3.12 it compensates, which
+    ``math.fsum`` emulates here: on these times it rounds differently."""
+    monkeypatch.setattr(
+        builtins, "sum", lambda values, start=0: math.fsum([start, *values])
+    )
+    zero = dict.fromkeys(
+        ("fwd_time", "bwd_time", "recompute_time", "collect_time",
+         "planning_time", "upkeep_time", "optimizer_time"),
+        0.0,
+    )
+    r = RunResult("t", "p", 1)
+    for i, t in enumerate((1e16, 1.0, -1e16)):
+        r.append(make_stats(i, **{**zero, "recompute_time": t}))
+    r.append(make_stats(3, **{**zero, "fwd_time": 1.0}))
+    assert sum(s.total_time for s in r.iterations) == 2.0  # compensated
+    assert r.total_time == 1.0
+    assert r.time_breakdown()["recompute_time"] == 0.0
+    assert r.overhead_fraction() == 0.0
 
 
 def test_run_result_normalization():

@@ -10,6 +10,10 @@ never exceeds the integral optimum.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +168,34 @@ def test_relative_gap_convention():
     assert relative_gap(0.0, 0.0) == 0.0
     assert relative_gap(-1e-15, 0.0) == 0.0
     assert math.isinf(relative_gap(1.0, 0.0))
+
+
+_PRICE_ALL_RECOMPUTE = """
+from repro.planners.base import ActionAssignment
+from repro.solvers import PcieCostModel, SolverInput, plan_cost
+times = {f"encoder.{i}": 0.001 * 1.1**i + 1e-7 * i for i in range(12)}
+inp = SolverInput(dict.fromkeys(times, 1), dict.fromkeys(times, 0), 1, times)
+assignment = ActionAssignment.from_sets(recompute=times)
+print(repr(plan_cost(PcieCostModel(), assignment, inp)))
+"""
+
+
+def test_plan_cost_does_not_depend_on_the_hash_seed():
+    """A plan's cost folds its units in one order whatever the hash seed.
+
+    A frozenset iterates in an order that follows ``PYTHONHASHSEED``;
+    folding these twelve recompute times in set order priced four
+    different values under the seeds below."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    prices = {
+        subprocess.run(
+            [sys.executable, "-c", _PRICE_ALL_RECOMPUTE],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.strip()
+        for seed in ("0", "1", "3", "5")
+    }
+    assert len(prices) == 1, prices
 
 
 def test_exact_solver_refuses_oversized_instances():
