@@ -37,10 +37,11 @@ from repro.planners.base import ModelView
 class LifecycleLog:
     """Event-bus observer: narrate the lifecycle as the run unfolds.
 
-    The executor emits ``IterationObserved`` into the same bus, which
-    drives the controller itself — this observer only *listens* to the
-    controller's outbound events, the supported way to track replanning
-    without touching planner internals (see docs/architecture.md).
+    The planner drives the controller directly, from ``observe``; the
+    controller publishes its transitions, drift firings and refits on
+    the executor's bus.  Listening to those outbound events is the
+    supported way to track replanning without touching planner
+    internals (see docs/architecture.md).
     """
 
     def __init__(self) -> None:
