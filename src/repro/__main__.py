@@ -151,7 +151,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         budget,
         max_iterations=args.iterations,
         observers=observers if is_baseline_run else (),
-        compiled=not args.no_compiled,
     )
     result = (
         baseline
@@ -166,7 +165,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             observers=observers,
             solver=solver,
             bwd_ratio=args.bwd_ratio,
-            compiled=not args.no_compiled,
             drift_detection=drift_detection,
             static_fit=args.static_fit,
             gap_sizes=args.gap_sizes,
@@ -245,7 +243,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         faults=faults,
         max_retries=args.max_retries,
         jobs=args.jobs,
-        compiled=not args.no_compiled,
         drift_detection=args.drift_scenario is not None,
         gap_sizes=args.gap_sizes,
     )
@@ -388,14 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach an event-bus counter and print per-event totals",
     )
     run_p.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help=(
-            "disable the compiled-template tier (near-recurrence fast "
-            "path); results are bit-identical either way"
-        ),
-    )
-    run_p.add_argument(
         "--drift-scenario",
         choices=DRIFT_SCENARIOS,
         default=None,
@@ -428,14 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes for the grid (results are byte-identical "
             "to --jobs 1, in the same order)"
-        ),
-    )
-    sweep_p.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help=(
-            "disable the compiled-template tier (near-recurrence fast "
-            "path); results are bit-identical either way"
         ),
     )
     sweep_p.add_argument(

@@ -36,7 +36,7 @@ from repro.engine.events import (
     UnitForward,
 )
 from repro.engine.stats import IterationStats, RunResult, UnitMeasurement
-from repro.engine.executor import IterationOOM, TrainingExecutor
+from repro.engine.executor import TrainingExecutor
 from repro.engine.strategies import (
     CollectStrategy,
     ExecutionStrategy,
@@ -52,7 +52,6 @@ __all__ = [
     "IterationStats",
     "RunResult",
     "UnitMeasurement",
-    "IterationOOM",
     "TrainingExecutor",
     "MemoryTimeline",
     "TimelinePoint",

@@ -20,15 +20,17 @@ consulted for iterations that produced a :class:`~repro.engine.replay
 and a template is only built from an iteration whose record was stored
 — it round-tripped the allocator signature and never read state outside
 its world (a REACTIVE pass that asked the planner for an eviction victim
-is never recorded).  On top of that the certifier rejects plans it
-cannot prove size-generic: passes that moved bytes over the copy engine
-(swap-out completion moves frees and stalls as the input size changes),
-iterations that reserve or release segments mid-flight, and iterations
-whose memory traffic or time charges are not a pure function of the
-plan.  A strategy that checks allocations against a budget (REACTIVE)
-supplies it as the template's peak limit: evaluation serves only while
-the placed peak stays within it, so the served pass meets no budget
-check, as its recorded pass met none that asked for a victim.
+is never recorded).  An executor that records a memory timeline builds
+no compiled tier: an evaluation emits no per-allocation samples.  On top
+of that the certifier rejects plans it cannot prove size-generic: passes
+that moved bytes over the copy engine (swap-out completion moves frees
+and stalls as the input size changes), iterations that reserve or
+release segments mid-flight, and iterations whose memory traffic or
+time charges are not a pure function of the plan.  A strategy that
+checks allocations against a budget (REACTIVE) supplies it as the
+template's peak limit: evaluation serves only while the placed peak
+stays within it, so the served pass meets no budget check, as its
+recorded pass met none that asked for a victim.
 
 **What a template is.**  A pass that is not
 :attr:`~repro.engine.strategies.ExecutionStrategy.history_dependent`
@@ -79,9 +81,10 @@ template's packed :attr:`CompiledTemplate.program`; the free list is
 decoded only when a verdict is missing.  The charge program then folds
 in emission order (bit-identical float accumulation), and the signature
 gives the memory stats.  A request that finds no block, or a peak over
-the limit, falls back to full simulation; *structural* drift (record
-layout, upkeep rate) deletes the template, and full simulation may
-re-certify.
+the limit, falls back to full simulation; *structural* drift (the record
+layout) deletes the template, and full simulation may re-certify.  The
+planner's upkeep rate cannot drift: a cache, like its planner, belongs
+to one executor, and the rate is fixed when the planner is built.
 
 Why not serve stats from the fitted memory-estimator polynomials?  The
 estimator is a *regression* — its predictions approximate, so they can
@@ -128,9 +131,7 @@ class CompiledKey(NamedTuple):
 
     Dropping ``shape`` and ``signature`` is what turns exact recurrence
     into near-recurrence — both become inputs of
-    :meth:`CompiledTemplate.evaluate`.  ``timeline_active`` is dropped
-    because timeline worlds are never served compiled (per-allocation
-    samples cannot be produced without running the allocator).
+    :meth:`CompiledTemplate.evaluate`.
     """
 
     mode: object
@@ -163,7 +164,6 @@ class CompiledTemplate:
     unit_names: tuple
     #: the certified record layout (:meth:`SegmentedModel.record_layout`)
     layout: tuple
-    upkeep_rate: float
     #: per charge, in emission order: ``(component, unit, column,
     #: seconds)`` — the unit's time in ``column`` at the served shape, or
     #: the constant ``seconds`` when ``column`` is None (upkeep, optimizer)
@@ -260,10 +260,7 @@ class CompiledTemplate:
         # model and shared by every template of the task.  The layout
         # check guards the gather: equal layouts index the vector alike.
         model = executor.model
-        if (
-            model.record_layout(batch) != self.layout
-            or executor.planner.upkeep_time_per_tensor != self.upkeep_rate
-        ):
+        if model.record_layout(batch) != self.layout:
             return "stale"  # structural drift: not the certified program
         peak_overshoot = self._placement(model, batch, signature)
         if peak_overshoot is None:
@@ -453,7 +450,6 @@ def _certify(
         ops=tuple(prog_ops),
         unit_names=unit_names,
         layout=layout,
-        upkeep_rate=upkeep_rate,
         charge_prog=tuple(prog),
         measure_spec=tuple(measure_spec),
         const_stats=record.stats,
@@ -506,8 +502,6 @@ class CompiledCache:
         self._rejected: set[CompiledKey] = set()
         self.hits = 0
         self.misses = 0
-        #: eligible iterations not consulted (timeline recording active)
-        self.bypasses = 0
         #: templates successfully certified
         self.certifications = 0
         #: plans proven uncertifiable, counted by the reason certification
@@ -540,9 +534,6 @@ class CompiledCache:
         iteration: int,
     ) -> Optional[tuple[IterationStats, float]]:
         """(stats, sim_time) for this iteration, or None → full simulation."""
-        if replay_key.timeline_active:
-            self.bypasses += 1
-            return None
         key = CompiledKey.of(replay_key)
         template = self._templates.get(key)
         if template is None:
@@ -565,10 +556,10 @@ class CompiledCache:
 
     def wants_trace(self, replay_key: Optional[ReplayKey]) -> bool:
         """Whether a full simulation of this world is a certification
-        candidate: eligible, no timeline recording, and a plan not yet
-        templated or rejected.  The executor arms the allocator's op
-        log for exactly these iterations."""
-        if replay_key is None or replay_key.timeline_active:
+        candidate: eligible, and a plan not yet templated or rejected.
+        The executor arms the allocator's op log for exactly these
+        iterations."""
+        if replay_key is None:
             return False
         key = CompiledKey.of(replay_key)
         return key not in self._templates and key not in self._rejected

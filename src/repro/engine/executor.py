@@ -47,17 +47,6 @@ from repro.tensorsim.faults import FaultInjector, FaultPlan
 from repro.tensorsim.tensor import SimTensor
 
 
-class IterationOOM(RuntimeError):
-    """Raised (optionally) when an iteration cannot fit in memory."""
-
-    def __init__(self, stats: IterationStats) -> None:
-        self.stats = stats
-        super().__init__(
-            f"iteration {stats.iteration} (input_size={stats.input_size}) "
-            f"ran out of memory under plan {stats.plan_label!r}"
-        )
-
-
 class TrainingExecutor:
     """Drives a planner through simulated training iterations.
 
@@ -71,8 +60,8 @@ class TrainingExecutor:
             (how DTR's fragmentation overshoot becomes observable, Fig 5).
         timeline: optional memory timeline recorder (fed by an event-bus
             subscriber, :class:`~repro.engine.events.TimelineObserver`).
-        raise_on_oom: raise :class:`IterationOOM` instead of returning a
-            failed :class:`IterationStats`.
+            An executor with a timeline builds no compiled tier: a
+            template evaluation emits no samples.
         measurement_noise: relative stddev of multiplicative noise on
             COLLECT-mode measurements, deterministic given ``noise_seed``.
         faults: optional fault-injection plan (or a prebuilt injector),
@@ -85,8 +74,10 @@ class TrainingExecutor:
             (:mod:`repro.engine.compiled`); requires ``replay`` (the
             compiled tier shares replay's eligibility proof and key).
 
-    Attach observers to :attr:`events`; the timeline's observer, when
-    there is a timeline, registers first.
+    The tiers are fixed here, once: what varies per iteration is only
+    the world a tier is asked to serve.  Attach observers to
+    :attr:`events`; the timeline's observer, when there is a timeline,
+    registers first.
     """
 
     def __init__(
@@ -97,7 +88,6 @@ class TrainingExecutor:
         device: Optional[DeviceModel] = None,
         capacity_bytes: Optional[int] = None,
         timeline: Optional[MemoryTimeline] = None,
-        raise_on_oom: bool = False,
         measurement_noise: float = 0.0,
         noise_seed: int = 0,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
@@ -111,8 +101,6 @@ class TrainingExecutor:
         capacity = capacity_bytes or self.device.memory_capacity
         self.allocator = CachingAllocator(capacity)
         self.clock = SimClock()
-        self.timeline = timeline
-        self.raise_on_oom = raise_on_oom
         if measurement_noise < 0:
             raise ValueError("measurement_noise must be non-negative")
         self.measurement_noise = measurement_noise
@@ -127,7 +115,9 @@ class TrainingExecutor:
         )
         self.replay: Optional[ReplayCache] = ReplayCache() if replay else None
         self.compiled: Optional[CompiledCache] = (
-            CompiledCache() if (replay and compiled) else None
+            CompiledCache()
+            if replay and compiled and timeline is None
+            else None
         )
         self._sig_cache: Optional[tuple] = None
         self._sig_version: Optional[tuple] = None
@@ -287,8 +277,8 @@ class TrainingExecutor:
     ) -> Optional[ReplayKey]:
         """The replay fingerprint, or None if the iteration must be
         simulated because it reads a perturbation stream (a fault window
-        that is not quiet, or COLLECT under measurement noise).  A bypass
-        counts on both tiers; the counters are public contract (see
+        that is not quiet, or COLLECT under measurement noise).  The
+        bypass counter is public contract (see
         :mod:`repro.engine.replay`)."""
         cache = self.replay
         if cache is None:
@@ -299,15 +289,8 @@ class TrainingExecutor:
         perturbed = self.faults is not None and not self.faults.quiet()
         if perturbed or not strategy.allows_replay(self):  # e.g. noisy COLLECT
             cache.bypasses += 1
-            if self.compiled is not None:
-                self.compiled.bypasses += 1
             return None
-        return ReplayCache.key(
-            decision,
-            batch,
-            self._state_signature(),
-            timeline_active=self.timeline is not None and self.timeline.enabled,
-        )
+        return ReplayCache.key(decision, batch, self._state_signature())
 
     def _replay_iteration(
         self, iteration: int, decision: PlanDecision, record: ReplayRecord
@@ -369,13 +352,7 @@ class TrainingExecutor:
         self.clock.advance(decision.planning_time)
         sim_start = self.clock.now
         # the timeline's samples are kept only for a replay record
-        recorder = (
-            self._timeline
-            if replay_key is not None
-            and self.timeline is not None
-            and self.timeline.enabled
-            else None
-        )
+        recorder = self._timeline if replay_key is not None else None
         if recorder is not None:
             recorder.arm(sim_start)
         ctx = IterationContext(
@@ -422,8 +399,6 @@ class TrainingExecutor:
         stats = self._stats.finalize(ctx, oom)
         self.events.emit(IterationEnd(stats))
         if oom:
-            if self.raise_on_oom:
-                raise IterationOOM(stats)
             return stats
         if (
             replay_key is not None

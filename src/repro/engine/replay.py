@@ -20,8 +20,12 @@ to a recorded one.  The proof is the :class:`ReplayKey`:
 * the exact batch shape and dtype;
 * the allocator's behavioural :meth:`~repro.tensorsim.allocator
   .CachingAllocator.state_signature` at iteration start (reserved
-  segments, free-block cache in order, accounting totals);
-* whether a memory timeline is being recorded.
+  segments, free-block cache in order, accounting totals).
+
+Whether a memory timeline records is not part of the key: it is fixed
+per executor, and each executor owns its cache.  A timeline executor
+builds no compiled tier, so each of its records comes from a full
+simulation and carries the samples its replays re-emit.
 
 A record is stored only for iterations that (a) completed without OOM,
 (b) left the allocator in exactly the state they found it (steady state)
@@ -96,7 +100,6 @@ class ReplayKey(NamedTuple):
     shape: tuple
     dtype: str
     signature: tuple
-    timeline_active: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,8 +151,6 @@ class ReplayCache:
         decision: PlanDecision,
         batch: BatchInput,
         allocator_signature: tuple,
-        *,
-        timeline_active: bool,
     ) -> ReplayKey:
         """The iteration-world fingerprint (see module docstring)."""
         return ReplayKey(
@@ -159,7 +160,6 @@ class ReplayCache:
             shape=batch.shape,
             dtype=batch.dtype,
             signature=allocator_signature,
-            timeline_active=timeline_active,
         )
 
     def lookup(self, key: ReplayKey) -> Optional[ReplayRecord]:

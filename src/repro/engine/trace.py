@@ -21,11 +21,11 @@ class MemoryTimeline:
     """Append-only sequence of :class:`TimelinePoint`s.
 
     Used by the examples and by Fig 4-style plots; recording is optional
-    because long sweeps (Fig 10) do not need per-phase samples.
+    because long sweeps (Fig 10) do not need per-phase samples.  An
+    executor given a timeline records into it for its whole life.
     """
 
     points: list[TimelinePoint] = field(default_factory=list)
-    enabled: bool = True
 
     def record(
         self,
@@ -35,10 +35,9 @@ class MemoryTimeline:
         phase: str,
         iteration: int,
     ) -> None:
-        if self.enabled:
-            self.points.append(
-                TimelinePoint(time, in_use, reserved, phase, iteration)
-            )
+        self.points.append(
+            TimelinePoint(time, in_use, reserved, phase, iteration)
+        )
 
     def peak_by_iteration(self) -> dict[int, int]:
         """Max bytes-in-use observed per iteration."""

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import RunResult
-from repro.engine.trace import MemoryTimeline
 from repro.experiments.tasks import TaskContext
 from repro.planners.base import ModelView, Planner
 from repro.planners.capuchin import CapuchinPlanner
@@ -139,14 +138,12 @@ def run_task(
     budget_bytes: int,
     *,
     device: Optional[DeviceModel] = None,
-    timeline: Optional[MemoryTimeline] = None,
     max_iterations: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
     max_retries: int = 3,
     observers: Sequence[Callable[[TrainingExecutor], None]] = (),
     solver: Optional[str] = None,
     bwd_ratio: Optional[float] = None,
-    compiled: bool = True,
     drift_detection: bool = False,
     static_fit: bool = False,
     gap_sizes: int = 0,
@@ -175,10 +172,6 @@ def run_task(
     planner's default.  Rejected for non-Mimose planners.  ``bwd_ratio``
     forces ratio pricing in action-pricing solvers (``--bwd-ratio``);
     it must be positive and is rejected for coverage-only solvers.
-
-    ``compiled`` toggles the executor's compiled-template tier
-    (``--no-compiled`` on the CLI disables it); results are bit-identical
-    either way — the tier only changes how fast iterations are served.
 
     ``drift_detection`` arms Mimose's lifecycle drift monitors;
     ``static_fit`` freezes the initial fit (infinite recollect margin) —
@@ -213,10 +206,8 @@ def run_task(
         planner,
         device=device,
         capacity_bytes=capacity,
-        timeline=timeline,
         faults=FaultInjector(faults) if faults is not None else None,
         max_recovery_retries=max_retries,
-        compiled=compiled,
     )
     for attach in observers:
         attach(executor)
@@ -304,7 +295,6 @@ def _pool_run_point(
         max_iterations=_POOL_STATE["max_iterations"],  # type: ignore[arg-type]
         faults=faults,
         max_retries=max_retries,
-        compiled=_POOL_STATE["compiled"],  # type: ignore[arg-type]
         drift_detection=drift,
         static_fit=static,
         gap_sizes=_POOL_STATE.get("gap_sizes", 0),  # type: ignore[arg-type]
@@ -356,7 +346,6 @@ def sweep(
     faults: Optional[FaultPlan] = None,
     max_retries: int = 3,
     jobs: int = 1,
-    compiled: bool = True,
     drift_detection: bool = False,
     static_fit: bool = False,
     gap_sizes: int = 0,
@@ -403,7 +392,6 @@ def sweep(
         "task": task,
         "device": device,
         "max_iterations": max_iterations,
-        "compiled": compiled,
         "gap_sizes": gap_sizes,
     }
     return parallel_map(

@@ -4,9 +4,10 @@ The contract under test: the compiled tier is a *pure* optimisation for
 near-recurrent iterations (same certified plan, unseen input size or
 allocator state).  Every served iteration must be bit-identical to full
 simulation (``RunResult.digest`` excludes only the wall-clock
-``planning_time``), and every situation the eligibility proof does not
-cover — fault windows, timeline recording, structural drift — must fall
-back to full simulation.
+``planning_time``), every situation the eligibility proof does not
+cover — fault windows, structural drift — must fall back to full
+simulation, and an executor that records a timeline builds no compiled
+tier.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.engine.executor import TrainingExecutor
 from repro.engine.replay import ReplayCache
 from repro.engine.stats import RunResult, summarize_runs
 from repro.engine.strategies import CollectStrategy, NormalStrategy, StatsBuilder
+from repro.engine.trace import MemoryTimeline
 from repro.experiments.runner import make_planner, run_task
 from repro.experiments.tasks import GB, TASKS, load_task
 from repro.models.base import BatchInput
@@ -34,11 +36,13 @@ from repro.tensorsim.dtypes import FLOAT32
 from repro.tensorsim.faults import FaultPlan
 
 from tests.helpers import MB, make_tiny_model
-from tests.helpers_digest_grid import near_recurrence_grid, run_grid_point_result
+from tests.helpers_digest_grid import (
+    compiled_off, near_recurrence_grid, run_grid_point_result,
+)
 
 
 def _run(task, planner_name, budget, *, compiled=True, replay=True,
-         stream=None, faults=None, max_retries=3):
+         stream=None, faults=None, max_retries=3, timeline=None):
     model = task.model
     planner = make_planner(planner_name, budget, task)
     planner.setup(ModelView(model))
@@ -52,6 +56,7 @@ def _run(task, planner_name, budget, *, compiled=True, replay=True,
         compiled=compiled,
         faults=faults.build() if faults is not None else None,
         max_recovery_retries=max_retries,
+        timeline=timeline,
     )
     result = RunResult(task.spec.abbr, planner_name, budget)
     for batch in (stream if stream is not None else task.loader):
@@ -71,8 +76,8 @@ def _run(task, planner_name, budget, *, compiled=True, replay=True,
 )
 def test_near_recurrence_digest_parity(point):
     """Compiled on/off produce identical digests on the sweep-style grid."""
-    with_compiled = run_grid_point_result(point, compiled=True)
-    without = run_grid_point_result(point, compiled=False)
+    with_compiled = run_grid_point_result(point)
+    without = run_grid_point_result(point, observers=(compiled_off,))
     assert with_compiled.digest() == without.digest()
 
 
@@ -285,7 +290,7 @@ def test_fault_window_bypasses_compiled_tier():
         task, "mimose", 4 * GB, replay=False, stream=stream, faults=faults
     )
     assert with_compiled.digest() == without.digest() == full.digest()
-    assert executor.compiled.bypasses == executor.replay.bypasses == 3
+    assert executor.replay.bypasses == 3
     assert held
     assert all(executor.compiled._templates.get(k) is t for k, t in held.items())
 
@@ -308,7 +313,7 @@ def test_recovery_retry_is_keyed():
     )
     assert with_compiled.total_retries > 0  # the ladder actually ran
     assert with_compiled.digest() == without.digest() == full.digest()
-    assert executor.replay.bypasses == executor.compiled.bypasses == 1
+    assert executor.replay.bypasses == 1
     assert held
     assert all(executor.compiled._templates.get(k) is t for k, t in held.items())
 
@@ -490,7 +495,7 @@ def test_placement_memo_keys_the_starting_free_list():
         compiled_mod.CompiledTemplate(
             req_index=tuple(range(n)),
             ops=(*range(n), *(-k - 1 for k in reversed(range(n)))),
-            unit_names=(), layout=(), upkeep_rate=0.0, charge_prog=(),
+            unit_names=(), layout=(), charge_prog=(),
             measure_spec=(), const_stats=None,
         )
         for _ in range(2)
@@ -517,7 +522,7 @@ def test_placement_memo_keys_the_starting_free_list():
 
 
 def test_compiled_disabled_flag():
-    """``compiled=False`` (the CLI's --no-compiled) removes the tier."""
+    """``compiled=False`` removes the tier."""
     task = load_task("TC-Bert", iterations=6, seed=0)
     model = task.model
     planner = make_planner("sublinear", 4 * GB, task)
@@ -533,3 +538,38 @@ def test_compiled_disabled_flag():
         model, planner, capacity_bytes=4 * GB, replay=False
     )
     assert executor2.compiled is None
+
+
+def test_timeline_run_takes_the_tiers_of_a_compiled_off_run():
+    """An executor that records a timeline builds no compiled tier: on a
+    Mimose stream it serves exactly the iterations a ``compiled=False``
+    executor serves, and its samples are those of full simulation."""
+    task = load_task("TC-Bert", iterations=40, seed=0)
+    stream = list(task.loader)
+    served, _ = _run(task, "mimose", 4 * GB, stream=stream)
+    assert served.compiled_hits > 0  # the tier would serve this stream
+    timeline, reference = MemoryTimeline(), MemoryTimeline()
+    traced, executor = _run(
+        task, "mimose", 4 * GB, stream=stream, timeline=timeline
+    )
+    without, plain = _run(task, "mimose", 4 * GB, stream=stream, compiled=False)
+    _run(
+        task, "mimose", 4 * GB, stream=stream, replay=False,
+        timeline=reference,
+    )
+    assert executor.compiled is None
+    assert traced.digest() == without.digest() == served.digest()
+    tiers = ("hits", "misses", "bypasses")
+    assert [getattr(executor.replay, t) for t in tiers] == [
+        getattr(plain.replay, t) for t in tiers
+    ]
+    assert executor.replay.hits > 0  # replay re-emits recorded samples
+
+    def samples(tl):
+        # absolute times carry wall-clock planning_time; all else is exact
+        return [
+            (p.iteration, p.phase, p.bytes_in_use, p.bytes_reserved)
+            for p in tl.points
+        ]
+
+    assert samples(timeline) == samples(reference)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.executor import IterationOOM, TrainingExecutor
+from repro.engine.executor import TrainingExecutor
 from repro.engine.trace import MemoryTimeline
 from repro.models.base import BatchInput
 from repro.planners.base import (
@@ -147,18 +147,6 @@ def test_oom_returns_failed_stats_and_unwinds():
     # the executor remains usable afterwards
     ok = ex.run_iteration(batch(4, 1024), PlanDecision(CheckpointPlan.none()))
     assert not ok.oom
-
-
-def test_raise_on_oom_mode():
-    model = make_tiny_model(num_units=4, features=1024)
-    static = model.static_memory().total
-    planner = NoCheckpointPlanner(static + 32 * MB)
-    planner.setup(ModelView(model))
-    ex = TrainingExecutor(
-        model, planner, capacity_bytes=static + 32 * MB, raise_on_oom=True
-    )
-    with pytest.raises(IterationOOM):
-        ex.run_iteration(batch(4096, 1024), PlanDecision(CheckpointPlan.none()))
 
 
 def test_plan_entries_for_non_checkpointable_units_ignored(bert_model):

@@ -26,6 +26,8 @@ from repro.engine.stats import RunResult
 from repro.experiments.runner import run_task, sweep
 from repro.experiments.tasks import GB, load_task
 
+from tests.helpers_digest_grid import compiled_off
+
 TASK = "TC-Bert"
 ITERATIONS = 30
 BUDGET = int(5.0 * GB)
@@ -128,7 +130,7 @@ def test_refit_mid_run_keeps_fastpath_tiers(monkeypatch):
 def test_refit_invalidation_is_digest_neutral_and_deterministic():
     for scenario in DRIFT_SCENARIOS:
         with_compiled = drift_run(scenario)
-        without = drift_run(scenario, compiled=False)
+        without = drift_run(scenario, observers=(compiled_off,))
         assert_same_run(
             with_compiled, without, f"{scenario}: compiled on vs off"
         )

@@ -69,12 +69,6 @@ def test_timeline_record_and_peaks():
     assert tl.phases(3) == []
 
 
-def test_timeline_disabled_records_nothing():
-    tl = MemoryTimeline(enabled=False)
-    tl.record(0.0, 1, 1, "x", 1)
-    assert tl.points == []
-
-
 def test_timeline_clear():
     tl = MemoryTimeline()
     tl.record(0.0, 1, 1, "x", 1)

@@ -457,7 +457,7 @@ def test_template_path_matches_live_allocator(prefix, steps):
 
     template = CompiledTemplate(
         req_index=tuple(range(len(steps))), ops=tuple(program),
-        unit_names=(), layout=(), upkeep_rate=0.0, charge_prog=(),
+        unit_names=(), layout=(), charge_prog=(),
         measure_spec=(), const_stats=None,
     )
     assert template._place(FreeList.from_signature(signature), rsizes) == fits

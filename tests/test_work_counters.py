@@ -66,7 +66,6 @@ def _run_counters(result, executor) -> dict[str, int]:
         "replay.bypasses": replay.bypasses,
         "compiled.hits": compiled.hits,
         "compiled.misses": compiled.misses,
-        "compiled.bypasses": compiled.bypasses,
         "compiled.certifications": compiled.certifications,
         "compiled.rejects": compiled.rejects,
         "compiled.fallbacks": compiled.fallbacks,
