@@ -14,8 +14,8 @@ work the real Mimose does), unlike model compute, which is simulated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Literal, Mapping, Optional
 
 import numpy as np
 
@@ -70,6 +70,24 @@ class _StackedPolynomials:
         return acc
 
 
+#: what one set of per-unit models predicts: activation bytes, forward
+#: seconds or backward seconds
+_Kind = Literal["bytes", "times", "bwd_times"]
+_KINDS: tuple[_Kind, ...] = ("bytes", "times", "bwd_times")
+
+
+@dataclass(frozen=True, slots=True)
+class _UnitModels:
+    """One kind's per-unit models, rebuilt on every fit: the regressors,
+    their stacked form when all are polynomials (the vectorised fast
+    path), and the per-size memo of :meth:`LightningMemoryEstimator
+    ._predict_all`."""
+
+    models: dict[str, Regressor] = field(default_factory=dict)
+    stack: Optional[_StackedPolynomials] = None
+    memo: dict[int, dict[str, Any]] = field(default_factory=dict)
+
+
 @dataclass(frozen=True, slots=True)
 class EstimatorReport:
     """Fit-quality and latency summary (Tables IV/V source)."""
@@ -95,20 +113,12 @@ class LightningMemoryEstimator:
         regressor_factory: Callable[[], Regressor] | None = None,
     ) -> None:
         self._factory = regressor_factory or (lambda: PolynomialRegressor(2))
-        self._mem_models: dict[str, Regressor] = {}
-        self._time_models: dict[str, Regressor] = {}
-        self._bwd_models: dict[str, Regressor] = {}
+        self._units: dict[_Kind, _UnitModels] = {
+            kind: _UnitModels() for kind in _KINDS
+        }
         self._base_model: Regressor | None = None
         self._last_fit_time = 0.0
         self._max_trained_size = 0
-        # Vectorised fast path (polynomial regressors only) + per-size
-        # memoisation; both rebuilt/cleared on every fit.
-        self._mem_stack: Optional[_StackedPolynomials] = None
-        self._time_stack: Optional[_StackedPolynomials] = None
-        self._bwd_stack: Optional[_StackedPolynomials] = None
-        self._bytes_cache: dict[int, dict[str, int]] = {}
-        self._times_cache: dict[int, dict[str, float]] = {}
-        self._bwd_cache: dict[int, dict[str, float]] = {}
 
     # ------------------------------------------------------------------- fit
 
@@ -128,31 +138,25 @@ class LightningMemoryEstimator:
         if not data:
             raise ValueError("collector holds no samples")
         start = time.perf_counter()
-        mem_models: dict[str, Regressor] = {}
-        time_models: dict[str, Regressor] = {}
-        bwd_models: dict[str, Regressor] = {}
+        models: dict[_Kind, dict[str, Regressor]] = {k: {} for k in _KINDS}
         have_bwd = any(
             any(b > 0.0 for b in bwds) for (_, _, _, bwds) in data.values()
         )
         max_size = 0
         for unit, (sizes, bytes_, times, bwd_times) in data.items():
-            mem_models[unit] = self._factory().fit(sizes, bytes_)
-            time_models[unit] = self._factory().fit(sizes, times)
+            models["bytes"][unit] = self._factory().fit(sizes, bytes_)
+            models["times"][unit] = self._factory().fit(sizes, times)
             if have_bwd:
-                bwd_models[unit] = self._factory().fit(sizes, bwd_times)
+                models["bwd_times"][unit] = self._factory().fit(sizes, bwd_times)
             max_size = max(max_size, max(sizes))
-        self._mem_stack = _StackedPolynomials.build(mem_models)
-        self._time_stack = _StackedPolynomials.build(time_models)
-        self._bwd_stack = _StackedPolynomials.build(bwd_models)
+        units = {
+            kind: _UnitModels(m, _StackedPolynomials.build(m))
+            for kind, m in models.items()
+        }
         elapsed = time.perf_counter() - start
-        self._mem_models = mem_models
-        self._time_models = time_models
-        self._bwd_models = bwd_models
+        self._units = units
         self._last_fit_time = elapsed
         self._max_trained_size = max_size
-        self._bytes_cache.clear()
-        self._times_cache.clear()
-        self._bwd_cache.clear()
         return elapsed
 
     def fit_base(self, sizes: list[int], peak_bytes: list[int]) -> None:
@@ -176,7 +180,7 @@ class LightningMemoryEstimator:
 
     @property
     def is_fitted(self) -> bool:
-        return bool(self._mem_models)
+        return bool(self._units["bytes"].models)
 
     @property
     def max_trained_size(self) -> int:
@@ -184,26 +188,26 @@ class LightningMemoryEstimator:
         return self._max_trained_size
 
     def unit_names(self) -> list[str]:
-        return sorted(self._mem_models)
+        return sorted(self._units["bytes"].models)
 
     # --------------------------------------------------------------- predict
 
     def predict_bytes(self, unit_name: str, input_size: int) -> int:
         """Predicted activation bytes of one unit (clamped non-negative)."""
-        model = self._mem_models.get(unit_name)
+        model = self._units["bytes"].models.get(unit_name)
         if model is None:
             raise KeyError(f"no memory model for unit {unit_name!r}")
         return max(0, int(model.predict(input_size)))
 
     def predict_time(self, unit_name: str, input_size: int) -> float:
-        model = self._time_models.get(unit_name)
+        model = self._units["times"].models.get(unit_name)
         if model is None:
             raise KeyError(f"no time model for unit {unit_name!r}")
         return max(0.0, float(model.predict(input_size)))
 
     def predict_bwd_time(self, unit_name: str, input_size: int) -> float:
         """Predicted backward seconds of one unit (clamped non-negative)."""
-        model = self._bwd_models.get(unit_name)
+        model = self._units["bwd_times"].models.get(unit_name)
         if model is None:
             raise KeyError(f"no backward-time model for unit {unit_name!r}")
         return max(0.0, float(model.predict(input_size)))
@@ -211,89 +215,52 @@ class LightningMemoryEstimator:
     @property
     def has_bwd_data(self) -> bool:
         """Whether backward-time models were fitted from measured data."""
-        return bool(self._bwd_models)
+        return bool(self._units["bwd_times"].models)
 
     _PREDICT_CACHE_LIMIT = 4096
 
-    def predict_all_bytes(self, input_size: int) -> dict[str, int]:
-        """Per-unit predicted activation bytes for one input size.
+    def _predict_all(self, kind: _Kind, input_size: int) -> dict[str, Any]:
+        """Every unit's ``kind`` prediction at one input size, clamped
+        non-negative: bytes as ``int``, seconds as ``float``.
 
         Vectorised (one Horner pass over the stacked coefficient matrix)
         when every unit model is polynomial, and memoised per integer
-        input size; results are identical to calling
-        :meth:`predict_bytes` per unit.  Returns a fresh dict each call.
+        input size; results are identical to the per-unit ``predict_*``
+        methods, in fit order.  Returns a fresh dict each call.
         """
+        units = self._units[kind]
         key = int(input_size)
-        cached = self._bytes_cache.get(key)
+        cached = units.memo.get(key)
         if cached is None:
-            if self._mem_stack is not None:
-                values = self._mem_stack.evaluate(key)
-                cached = {
-                    name: max(0, int(v))
-                    for name, v in zip(self._mem_stack.names, values)
-                }
+            values: Iterable[tuple[str, Any]]
+            if units.stack is not None:
+                values = zip(units.stack.names, units.stack.evaluate(key))
             else:
-                cached = {
-                    name: max(0, int(model.predict(key)))
-                    for name, model in self._mem_models.items()
-                }
-            if len(self._bytes_cache) >= self._PREDICT_CACHE_LIMIT:
-                self._bytes_cache.clear()
-            self._bytes_cache[key] = cached
+                values = ((n, m.predict(key)) for n, m in units.models.items())
+            if kind == "bytes":
+                cached = {name: max(0, int(v)) for name, v in values}
+            else:
+                cached = {name: max(0.0, float(v)) for name, v in values}
+            if len(units.memo) >= self._PREDICT_CACHE_LIMIT:
+                units.memo.clear()
+            units.memo[key] = cached
         return dict(cached)
+
+    def predict_all_bytes(self, input_size: int) -> dict[str, int]:
+        """Per-unit predicted activation bytes for one input size."""
+        return self._predict_all("bytes", input_size)
 
     def predict_all_times(self, input_size: int) -> dict[str, float]:
-        """Per-unit predicted forward seconds for one input size.
-
-        Same vectorisation/memoisation contract as
-        :meth:`predict_all_bytes`.
-        """
-        key = int(input_size)
-        cached = self._times_cache.get(key)
-        if cached is None:
-            if self._time_stack is not None:
-                values = self._time_stack.evaluate(key)
-                cached = {
-                    name: max(0.0, float(v))
-                    for name, v in zip(self._time_stack.names, values)
-                }
-            else:
-                cached = {
-                    name: max(0.0, float(model.predict(key)))
-                    for name, model in self._time_models.items()
-                }
-            if len(self._times_cache) >= self._PREDICT_CACHE_LIMIT:
-                self._times_cache.clear()
-            self._times_cache[key] = cached
-        return dict(cached)
+        """Per-unit predicted forward seconds for one input size."""
+        return self._predict_all("times", input_size)
 
     def predict_all_bwd_times(self, input_size: int) -> dict[str, float]:
-        """Per-unit predicted backward seconds for one input size.
-
-        Same vectorisation/memoisation contract as
-        :meth:`predict_all_bytes`; raises when no backward data was
-        measured (check :attr:`has_bwd_data` first).
-        """
-        if not self._bwd_models:
+        """Per-unit predicted backward seconds for one input size; raises
+        when no backward data was measured (check :attr:`has_bwd_data`
+        first)."""
+        if not self.has_bwd_data:
             raise RuntimeError("no backward-time models were fitted")
-        key = int(input_size)
-        cached = self._bwd_cache.get(key)
-        if cached is None:
-            if self._bwd_stack is not None:
-                values = self._bwd_stack.evaluate(key)
-                cached = {
-                    name: max(0.0, float(v))
-                    for name, v in zip(self._bwd_stack.names, values)
-                }
-            else:
-                cached = {
-                    name: max(0.0, float(model.predict(key)))
-                    for name, model in self._bwd_models.items()
-                }
-            if len(self._bwd_cache) >= self._PREDICT_CACHE_LIMIT:
-                self._bwd_cache.clear()
-            self._bwd_cache[key] = cached
-        return dict(cached)
+        return self._predict_all("bwd_times", input_size)
 
     def total_bytes(self, input_size: int) -> int:
         return sum(self.predict_all_bytes(input_size).values())
@@ -332,7 +299,7 @@ class LightningMemoryEstimator:
                 errors.append(abs(predicted - actual) / actual)
         return EstimatorReport(
             regressor_name=self._factory().name,
-            num_units=len(self._mem_models),
+            num_units=len(self._units["bytes"].models),
             num_samples=num_samples,
             train_time_s=self._last_fit_time,
             predict_latency_s=sum(latencies) / max(len(latencies), 1),

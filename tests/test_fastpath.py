@@ -296,14 +296,15 @@ def _fake_data(num_units=20, seed=0):
 def test_vectorized_predictions_match_per_unit_models():
     est = LightningMemoryEstimator()
     est.fit(_FakeCollector(_fake_data()))
-    assert est._mem_stack is not None  # fast path engaged
+    assert est._units["bytes"].stack is not None  # fast path engaged
     for size in (7, 50, 1_234, 49_999, 80_000):
         expect_b = {
-            n: max(0, int(m.predict(size))) for n, m in est._mem_models.items()
+            n: max(0, int(m.predict(size)))
+            for n, m in est._units["bytes"].models.items()
         }
         expect_t = {
             n: max(0.0, float(m.predict(size)))
-            for n, m in est._time_models.items()
+            for n, m in est._units["times"].models.items()
         }
         assert est.predict_all_bytes(size) == expect_b
         assert est.predict_all_times(size) == expect_t
@@ -314,9 +315,10 @@ def test_vectorized_predictions_match_per_unit_models():
 def test_vectorized_fallback_for_non_polynomial_regressors():
     est = LightningMemoryEstimator(regressor_factory=DecisionTreeRegressor)
     est.fit(_FakeCollector(_fake_data(num_units=5)))
-    assert est._mem_stack is None
+    assert est._units["bytes"].stack is None
     expect = {
-        n: max(0, int(m.predict(1_234))) for n, m in est._mem_models.items()
+        n: max(0, int(m.predict(1_234)))
+        for n, m in est._units["bytes"].models.items()
     }
     assert est.predict_all_bytes(1_234) == expect
 
