@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.tensorsim.clock import left_sum
+
 
 class NotFittedError(RuntimeError):
     """Raised when predicting before fitting."""
@@ -253,7 +255,7 @@ class GradientBoostedTrees(Regressor):
     def predict(self, x: float) -> float:
         if not self._trees:
             raise NotFittedError("gbt has not been fitted")
-        return self._base + self.learning_rate * sum(
+        return self._base + self.learning_rate * left_sum(
             t.predict(x) for t in self._trees
         )
 

@@ -30,6 +30,7 @@ from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import IterationStats
 from repro.models.base import BatchInput, SegmentedModel
 from repro.planners.base import ModelView, Planner
+from repro.tensorsim.clock import left_sum
 from repro.tensorsim.device import DeviceModel
 
 
@@ -55,7 +56,7 @@ class DdpStepStats:
     def imbalance(self) -> float:
         """Slowest over mean rank time — 1.0 means perfectly balanced."""
         times = [s.total_time for s in self.per_rank]
-        mean = sum(times) / len(times)
+        mean = left_sum(times) / len(times)
         return max(times) / mean if mean else 1.0
 
 
@@ -150,9 +151,9 @@ class DataParallelExecutor:
         step_time = times[straggler] + exposed
         self.steps += 1
         self.total_time += step_time
-        self.total_compute_time += sum(s.compute_time for s in per_rank) / len(
-            per_rank
-        )
+        self.total_compute_time += left_sum(
+            s.compute_time for s in per_rank
+        ) / len(per_rank)
         return DdpStepStats(
             per_rank=per_rank,
             step_time=step_time,

@@ -161,7 +161,8 @@ def table3_rows(
         result = run_task(task, "mimose", budget, observers=(executors.append,))
         collects = [s for s in result.iterations if s.is_collect]
         responsive = [s for s in result.iterations if not s.is_collect]
-        collector_time = sum(s.collect_time for s in collects)
+        breakdown = result.time_breakdown()  # left folds over iterations
+        collector_time = breakdown["collect_time"]
         # Two kinds of planning_time are *not* steady-state per-plan
         # estimator/scheduler cost and are excluded from the min/max
         # columns (the quantity the paper bounds at 0.26-1.25 ms and the
@@ -190,7 +191,7 @@ def table3_rows(
         # separate fit_ms column.
         overhead = (
             collector_time
-            + sum(s.planning_time for s in result.iterations)
+            + breakdown["planning_time"]
             - (responsive[0].planning_time if responsive else 0.0)
         )
         rows.append(

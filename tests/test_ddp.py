@@ -1,5 +1,9 @@
 """Tests for the data-parallel extension."""
 
+import builtins
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.data.datasets import DataLoader, make_dataset
@@ -144,3 +148,28 @@ def test_subscribe_all_attaches_one_observer_per_rank():
         bus.unsubscribe(token)
     ddp.step(batches([64, 64, 64]))
     assert per_rank_counts == {0: 2, 1: 2, 2: 2}
+
+
+def test_step_time_sums_are_left_folds(monkeypatch):
+    """Rank-time means add left to right from 0.0, as the builtin ``sum()``
+    does up to Python 3.11.  Since 3.12 it compensates, which
+    ``math.fsum`` emulates here: on these times it rounds differently."""
+    times = (1.0, 1e-16, 1e-16)
+    ddp = tiny_ddp(world_size=len(times))
+    real = ddp.executors[0].step(batches([4])[0])
+    zero = dict.fromkeys(
+        ("bwd_time", "recompute_time", "collect_time", "planning_time",
+         "upkeep_time", "optimizer_time", "swap_stall_time"),
+        0.0,
+    )
+    for ex, t in zip(ddp.executors, times):
+        stats = replace(real, **zero, fwd_time=t)
+        monkeypatch.setattr(ex, "step", lambda batch, stats=stats: stats)
+    monkeypatch.setattr(
+        builtins, "sum", lambda values, start=0: math.fsum([start, *values])
+    )
+    assert sum(times) != 1.0  # compensated
+    step = ddp.step(batches([4] * len(times)))
+    mean = 1.0 / len(times)  # the left fold drops both 1e-16 terms
+    assert ddp.total_compute_time == mean
+    assert step.imbalance == 1.0 / mean
