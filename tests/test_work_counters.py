@@ -4,7 +4,9 @@ Wall-clock on a shared host is too noisy to tell a small slowdown from a
 slow phase of the machine, but the work a run does is not: how many
 iterations each executor tier served, how many allocations and free-list
 operations were made, how many compiled placements were computed, how
-many events were emitted and how many unit traces were taken.
+many events were emitted, how many unit traces and unit-time
+computations were made, how many batches the loader drew and how many
+times a solver assigned actions.
 ``tests/data/work_counters.json`` records these counters for two runs of
 the benchmark's kind:
 
@@ -32,12 +34,15 @@ from typing import Callable
 
 import pytest
 
+from repro.data.datasets import DataLoader
 from repro.engine.compiled import CompiledTemplate
 from repro.engine.events import EventBus
 from repro.engine.strategies import StatsBuilder
 from repro.experiments import runner, tasks
 from repro.graph.module import ProfileContext
+from repro.solvers.base import Solver
 from repro.tensorsim.allocator import FreeList
+from repro.tensorsim.device import DeviceModel
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "work_counters.json"
 
@@ -54,6 +59,13 @@ def _counting(counts: Counter, key: str, fn: Callable) -> Callable:
         return fn(*args, **kwargs)
 
     return counted
+
+
+def _solver_classes(cls: type = Solver):
+    """``cls`` and every subclass, each once."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _solver_classes(sub)
 
 
 def _run_counters(result, executor) -> dict[str, int]:
@@ -107,6 +119,22 @@ def collect() -> dict[str, dict[str, int]]:
             ProfileContext, "finish",
             _counting(counts, "unit_traces", ProfileContext.finish),
         )
+        mp.setattr(
+            DeviceModel, "unit_times",
+            _counting(counts, "unit_times", DeviceModel.unit_times),
+        )
+        mp.setattr(
+            DataLoader, "_collate",
+            _counting(counts, "loader.batches", DataLoader._collate),
+        )
+        # every solver's own assign: the base one covers solvers that
+        # inherit it, and an override counts where it is defined
+        for cls in set(_solver_classes()):
+            if "assign" in cls.__dict__:
+                mp.setattr(
+                    cls, "assign",
+                    _counting(counts, "solver.assign", cls.__dict__["assign"]),
+                )
         # one StatsBuilder.finalize per fully simulated iteration attempt
         mp.setattr(
             StatsBuilder, "finalize",
