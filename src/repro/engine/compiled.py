@@ -348,23 +348,27 @@ def _certify(
     unit_names = tuple(u.name for u in model.units)
     layout = model.record_layout(batch)
 
-    # ---- each tensor owner's slot in the model's request vector (input,
-    # every activation record, every unit boundary), and the (unit,
-    # record) of each record slot
-    slots: dict[str, int] = {"input": 0}
+    # ---- each tensor's slot in the model's request vector: the input and
+    # the unit boundaries by owner name, every activation record by (unit
+    # index, name relative to the unit); and the (unit, record) of each
+    # record slot
+    slots: dict[object, int] = {"input": 0}
     record_of: dict[int, tuple[int, int]] = {}
     for ui, (records, _promoted) in enumerate(layout):
         for ri, (name, _saved) in enumerate(records):
-            if name in slots:
+            if (ui, name) in slots:
                 raise _Reject(f"ambiguous tensor name {name!r}")
-            slot = slots[name] = len(slots)
+            slot = slots[ui, name] = len(slots)
             record_of[slot] = (ui, ri)
     first_boundary = len(slots)
     for ui, name in enumerate(unit_names):
-        bname = f"{name}.out"
-        if bname in slots:
-            raise _Reject(f"ambiguous tensor name {bname!r}")
-        slots[bname] = first_boundary + ui
+        slots[f"{name}.out"] = first_boundary + ui
+    # a record's owner is "<unit>/<relative name>"; unit names hold no "/"
+    unit_index = {name: ui for ui, name in enumerate(unit_names)}
+
+    def slot_of(owner: str) -> Optional[int]:
+        unit, sep, name = owner.partition("/")
+        return slots.get((unit_index.get(unit), name) if sep else owner)
 
     # ---- lift the charge program from the recorded charge stream: each
     # charge resolves, once, to the time it stands for — a column of its
@@ -396,7 +400,7 @@ def _certify(
             owner, nbytes, addr, size, reserved_a_segment = op
             if reserved_a_segment:
                 raise _Reject("segment reserve/release inside the iteration")
-            slot = slots.get(owner)
+            slot = slot_of(owner)
             if slot is None:
                 raise _Reject(f"allocation by unknown owner {owner!r}")
             if size != request_size(nbytes):

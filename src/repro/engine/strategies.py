@@ -183,7 +183,7 @@ class SwapEngine:
         rt.internals = []
         nbytes = 0
         for rec in rt.records:
-            t = SimTensor(rec.spec, rec.name)
+            t = SimTensor(rec.spec, f"{rt.name}/{rec.name}")
             ctx.alloc_tensor(t)
             rt.internals.append(t)
             if t.block is not None:
@@ -310,7 +310,7 @@ class IterationContext:
         # the unit output awaiting boundary promotion).
         prev_transient: Optional[SimTensor] = None
         for rec in rt.records:
-            t = SimTensor(rec.spec, rec.name)
+            t = SimTensor(rec.spec, f"{rt.name}/{rec.name}")
             self.alloc_tensor(t)
             rt.internals.append(t)
             if prev_transient is not None:

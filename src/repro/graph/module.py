@@ -8,10 +8,12 @@ tensors and accumulates compute costs.  Profiling a module for a given input
 spec yields a :class:`ModuleProfile` — the unit of information all planners
 in this reproduction consume.
 
-Profiles are cached per ``(module, input spec)``: model shapes are
-deterministic, so re-profiling for a repeated input size would be wasted
-work (this mirrors the paper's plan cache observation that equal input
-sizes imply equal memory behaviour).
+Record names are relative to the profiled module (``attn/softmax``), so
+a trace depends only on the module's :meth:`~Module.structure` and the
+input spec.  Units built alike — BERT's twelve encoder blocks — share
+one trace per input spec (:meth:`~repro.models.base.SegmentedModel
+.profiles` keeps the memo): a layer's activation memory is a function
+of its input size alone, the premise of the paper's estimator (§IV-C).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ class ActivationRecord:
     """One intermediate tensor produced while profiling a module.
 
     Attributes:
-        name: hierarchical name, e.g. ``"encoder.3/attn/softmax"``.
+        name: hierarchical name relative to the profiled module, e.g.
+            ``"attn/softmax"`` in unit ``encoder.3``; a tensor's full
+            name joins the two (``"encoder.3/attn/softmax"``).
         spec: tensor shape/dtype.
         saved: whether the tensor must survive until the backward pass
             (False means it is transient working memory within the forward).
@@ -176,31 +180,45 @@ class Module:
     def __init__(self, name: str, *, checkpointable: bool = False) -> None:
         if not name:
             raise ValueError("modules must be named")
+        if "/" in name:
+            raise ValueError(f"module name {name!r} contains the scope separator")
         self.name = name
         self.checkpointable = checkpointable
-        self._profile_cache: dict[TensorSpec, ModuleProfile] = {}
 
     def forward(self, ctx: ProfileContext, x: TensorSpec) -> TensorSpec:
         raise NotImplementedError
 
     def profile(self, x: TensorSpec) -> ModuleProfile:
-        """Profile this module for input spec ``x`` (cached)."""
-        cached = self._profile_cache.get(x)
-        if cached is not None:
-            return cached
+        """Trace this module for input spec ``x``; record names are
+        relative to it."""
         ctx = ProfileContext()
-        ctx._scope.append(self.name)
-        out = self.forward(ctx, x)
-        ctx._scope.pop()
-        profile = ctx.finish(self.name, x, out)
-        self._profile_cache[x] = profile
-        return profile
+        return ctx.finish(self.name, x, self.forward(ctx, x))
 
-    def clear_profile_cache(self) -> None:
-        self._profile_cache.clear()
+    def structure(self) -> tuple:
+        """What a trace of this module depends on besides its input: its
+        class and every attribute but its name.
+
+        Modules of equal structure trace equal profiles for every input
+        spec, up to ``module_name``.  A child module enters with its name,
+        which scopes its records, and lists enter as tuples.
+        """
+        attrs = sorted(
+            (attr, _structure_of(value))
+            for attr, value in vars(self).items()
+            if attr != "name"
+        )
+        return type(self), tuple(attrs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
+
+
+def _structure_of(value: object) -> object:
+    if isinstance(value, Module):
+        return value.name, value.structure()
+    if isinstance(value, (list, tuple)):
+        return tuple(_structure_of(v) for v in value)
+    return value
 
 
 class Sequential(Module):

@@ -9,7 +9,7 @@ which §III-A notes is constant across input sizes (only activations vary).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.graph.module import Module, ModuleProfile
@@ -82,15 +82,17 @@ class SegmentedModel:
     """An ordered chain of (mostly checkpointable) units.
 
     A model is immutable once built: nothing writes to it after
-    construction.  Its only state is memoised derived data — the per-unit
-    profile memo, the per-shape memo behind :meth:`profiles`,
-    :meth:`record_layout`, :meth:`request_sizes`, :meth:`unit_times` and
-    :meth:`placements`, the per-(device preset, unit, input spec)
-    unit-time memo and the parameter count — each a pure function of the
-    architecture, the input spec and (for times) the device preset (for
-    placements, of the compiled program that keys them).  One model can
-    therefore serve every run of a task, and a worker process that
-    inherits a warm model computes exactly what a cold one would.
+    construction.  Its only state is memoised derived data — the trace
+    memo per (unit structure, input spec), the per-shape memo behind
+    :meth:`profiles`, :meth:`record_layout`, :meth:`request_sizes`,
+    :meth:`unit_times` and :meth:`placements`, the unit-time memo per
+    (device preset, unit structure, input spec) and the parameter count
+    — each a pure function of the architecture, the input spec and (for
+    times) the device preset (for placements, of the compiled program
+    that keys them).  Units of equal :meth:`~repro.graph.module.Module
+    .structure` share one trace and one pricing per input spec.  One
+    model can therefore serve every run of a task, and a worker process
+    that inherits a warm model computes exactly what a cold one would.
 
     Args:
         name: model identifier (e.g. ``"bert-base"``).
@@ -124,7 +126,14 @@ class SegmentedModel:
         self.extra_reserved_bytes = int(extra_reserved_bytes)
         self.probe_shape = probe_shape
         self.amp = amp
+        # per unit: the index of the first unit built alike, standing for
+        # its structure in the memo keys
+        first: dict[tuple, int] = {}
+        self._structure = tuple(
+            first.setdefault(u.structure(), i) for i, u in enumerate(self.units)
+        )
         self._param_count: int | None = None
+        self._traces: dict[tuple, ModuleProfile] = {}
         self._shapes: dict[BatchInput, _ShapeMemo] = {}
         self._layouts: dict[tuple, tuple] = {}
         self._unit_times: dict[tuple, tuple[float, float]] = {}
@@ -132,14 +141,21 @@ class SegmentedModel:
     # ------------------------------------------------------------ profiling
 
     def profiles(self, batch: BatchInput) -> tuple[ModuleProfile, ...]:
-        """Profile the full chain for one batch shape (memoised per shape;
-        a unit traces each input spec once)."""
+        """Profile the full chain for one batch shape (memoised per shape).
+
+        Each (unit structure, input spec) is traced once; a unit that
+        shares another's trace gets its own ``module_name`` on the shared
+        records and op costs."""
         memo = self._shapes.get(batch)
         if memo is None:
             x = batch.spec
             chain = []
-            for unit in self.units:
-                p = unit.profile(x)
+            for unit, structure in zip(self.units, self._structure):
+                p = self._traces.get((structure, x))
+                if p is None:
+                    p = self._traces[structure, x] = unit.profile(x)
+                if p.module_name != unit.name:
+                    p = replace(p, module_name=unit.name)
                 chain.append(p)
                 x = p.output
             memo = self._shapes[batch] = _ShapeMemo(tuple(chain))
@@ -195,14 +211,15 @@ class SegmentedModel:
     ) -> tuple[tuple[float, float], ...]:
         """(forward, backward) seconds of every unit at one batch shape.
 
-        Each (device preset, unit, input spec) is priced once, so units
-        whose input does not depend on the batch shape share one entry."""
+        Each (device preset, unit structure, input spec) is priced once,
+        so units built alike share one entry, as do units whose input
+        does not depend on the batch shape."""
         memo = self._shape(batch)
         times = memo.times.get(device.preset)
         if times is None:
             out = []
-            for p in memo.profiles:
-                key = (device.preset, p.module_name, p.input)
+            for structure, p in zip(self._structure, memo.profiles):
+                key = (device.preset, structure, p.input)
                 t = self._unit_times.get(key)
                 if t is None:
                     t = self._unit_times[key] = device.unit_times(p)
@@ -273,10 +290,9 @@ class SegmentedModel:
         )
 
     def clear_caches(self) -> None:
-        """Drop every memo: unit profiles, per-shape entries (placements
+        """Drop every memo: unit traces, per-shape entries (placements
         included), unit times."""
-        for unit in self.units:
-            unit.clear_profile_cache()
+        self._traces.clear()
         self._shapes.clear()
         self._layouts.clear()
         self._unit_times.clear()

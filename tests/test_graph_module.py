@@ -1,13 +1,14 @@
-"""Unit tests for the module tracer and profile caching."""
+"""Unit tests for the module tracer and the model's trace memo."""
 
 import pytest
 
 from repro.graph.module import Module, ProfileContext, Sequential
 from repro.graph.ops import Add, Dropout, Linear, Relu
+from repro.models.base import BatchInput
 from repro.tensorsim.dtypes import FLOAT32
 from repro.tensorsim.tensor import TensorSpec
 
-from tests.helpers import TinyUnit
+from tests.helpers import TinyUnit, make_tiny_model
 
 
 def test_profile_records_activations_and_costs():
@@ -23,12 +24,30 @@ def test_profile_records_activations_and_costs():
     assert len(p.op_costs) == 4
 
 
-def test_profile_cache_returns_same_object():
-    unit = TinyUnit("u", 8)
-    x = TensorSpec((2, 8), FLOAT32)
-    assert unit.profile(x) is unit.profile(x)
-    unit.clear_profile_cache()
-    assert unit.profile(x) is not None
+def test_units_of_one_structure_share_one_trace_per_spec(monkeypatch):
+    traced: list[tuple] = []
+    finish = ProfileContext.finish
+
+    def counting_finish(self, module_name, x, out):
+        traced.append((module_name, x))
+        return finish(self, module_name, x, out)
+
+    monkeypatch.setattr(ProfileContext, "finish", counting_finish)
+    model = make_tiny_model(num_units=4, features=8)
+    small, large = (BatchInput((n, 8), FLOAT32) for n in (2, 4))
+    chain = model.profiles(small)
+    # four units built alike: one trace, shared records and op costs,
+    # each profile under its own unit's name
+    assert traced == [("unit.0", small.spec)]
+    assert [p.module_name for p in chain] == model.unit_names()
+    assert all(p.activations is chain[0].activations for p in chain)
+    assert all(p.op_costs is chain[0].op_costs for p in chain)
+    model.profiles(large)
+    model.profiles(small)
+    assert traced == [("unit.0", small.spec), ("unit.0", large.spec)]
+    model.clear_caches()
+    assert model.profiles(small) == chain
+    assert traced[-1] == ("unit.0", small.spec) and len(traced) == 3
 
 
 def test_profile_differs_per_input_spec():
@@ -39,18 +58,21 @@ def test_profile_differs_per_input_spec():
 
 
 def test_hierarchical_names():
+    # names are relative to the profiled module
     unit = TinyUnit("blk", 8)
     p = unit.profile(TensorSpec((1, 8), FLOAT32))
-    assert all(a.name.startswith("blk/") for a in p.activations)
+    assert p.module_name == "blk"
+    assert [a.name for a in p.activations] == ["lin1", "act1", "lin2", "act2"]
 
 
 def test_sequential_composes_children():
     seq = Sequential("seq", [TinyUnit("a", 8), TinyUnit("b", 8)])
     p = seq.profile(TensorSpec((2, 8), FLOAT32))
     assert len(p.activations) == 8
+    # each child scopes its records; the profiled module adds no prefix
     names = [a.name for a in p.activations]
-    assert any("seq/a/" in n for n in names)
-    assert any("seq/b/" in n for n in names)
+    assert names[:4] == ["a/lin1", "a/act1", "a/lin2", "a/act2"]
+    assert names[4:] == ["b/lin1", "b/act1", "b/lin2", "b/act2"]
 
 
 def test_sequential_rejects_duplicates_and_empty():
@@ -63,6 +85,12 @@ def test_sequential_rejects_duplicates_and_empty():
 def test_module_requires_name():
     with pytest.raises(ValueError):
         TinyUnit("", 8)
+
+
+def test_module_name_holds_no_scope_separator():
+    # a tensor's full name is "<unit>/<relative name>"
+    with pytest.raises(ValueError, match="scope separator"):
+        TinyUnit("a/b", 8)
 
 
 def test_saved_and_transient_byte_split():

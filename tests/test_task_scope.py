@@ -4,10 +4,11 @@ A :class:`~repro.experiments.tasks.TaskContext` owns one model, and the
 model memoises everything that is a pure function of an input shape: the
 unit traces, the allocator request sizes, the roofline unit times and
 the compiled tier's placements.  Every run, executor and compiled
-template of the task shares them, so a sweep traces each (unit, input
-spec) pair once, prices each (device preset, unit, input spec) once and
-places each (compiled program, batch, allocator state) once, however
-many grid points meet it.
+template of the task shares them, so a sweep traces each (unit
+structure, input spec) pair once, prices each (device preset, unit
+structure, input spec) once and places each (compiled program, batch,
+allocator state) once, however many grid points and units built alike
+meet it.
 """
 
 from __future__ import annotations
@@ -48,17 +49,30 @@ def counted(monkeypatch):
     return traces, times
 
 
+def _by_structure(model, traces, times):
+    """The counted traces as (structure, spec) and the unit-time
+    computations as (preset, structure, spec)."""
+    structure = {u.name: u.structure() for u in model.units}
+    return (
+        [(structure[name], spec) for name, spec in traces],
+        [(preset, structure[name], spec) for preset, name, spec in times],
+    )
+
+
 def test_sweep_derives_each_shape_once_per_task(counted):
     traces, times = counted
     task = load_task(TASK, iterations=ITERATIONS, seed=SEED)
     results = sweep(task, PLANNER_NAMES, task.default_budgets(2))
     assert len(results) == 1 + 2 * (len(PLANNER_NAMES) - 1)
     assert all(len(r.iterations) == ITERATIONS for r in results)
-    # one trace per distinct (unit, input spec) the task met ...
-    assert len(traces) == len(set(traces)) > 0
-    # ... and one roofline computation per (preset, unit, input spec)
-    assert len(times) == len(set(times)) > 0
-    assert {(name, spec) for _, name, spec in times} <= set(traces)
+    traced, priced = _by_structure(task.model, traces, times)
+    # one trace per distinct (unit structure, input spec) the task met:
+    # the first of the twelve encoder blocks traces for all of them ...
+    assert len(traced) == len(set(traced)) > 0
+    assert {name for name, _ in traces} == {"embeddings", "encoder.0", "head"}
+    # ... and one roofline computation per (preset, structure, input spec)
+    assert len(priced) == len(set(priced)) > 0
+    assert {(s, spec) for _, s, spec in priced} <= set(traced)
 
 
 def test_sweep_places_each_program_once_per_batch(monkeypatch):
@@ -105,5 +119,7 @@ def test_units_sharing_an_input_spec_are_priced_once(counted):
     device = DeviceModel()
     for batch in shapes:
         model.unit_times(device, batch)
-    assert len(traces) == len(set(traces)) < len(shapes) * len(model.units)
-    assert len(times) == len(set(times)) == len(traces)
+    traced, priced = _by_structure(model, traces, times)
+    structures = {u.structure() for u in model.units}
+    assert len(traced) == len(set(traced)) < len(shapes) * len(structures)
+    assert len(priced) == len(set(priced)) == len(traced)
