@@ -106,6 +106,9 @@ class DataLoader:
     Deterministic given the seed; ``peek_sizes`` lets offline planners
     sample the input-size distribution without consuming loader state
     (the paper's static baselines got to profile the dataset offline).
+    Samplers are positioned absolutely, so the stream is a pure function
+    of the seed: the first complete pass draws it, and later passes
+    replay it.
     """
 
     def __init__(
@@ -122,6 +125,7 @@ class DataLoader:
         self.batch_size = batch_size
         self.num_iterations = num_iterations
         self.seed = seed
+        self._stream: tuple[BatchInput, ...] | None = None
 
     def _collate(self, rng: np.random.Generator) -> BatchInput:
         ds = self.dataset
@@ -143,12 +147,18 @@ class DataLoader:
         )
 
     def __iter__(self) -> Iterator[BatchInput]:
+        if self._stream is not None:
+            yield from self._stream
+            return
         rng = np.random.default_rng(self.seed)
         samplers = self.dataset.samplers()
+        stream = []
         for i in range(self.num_iterations):
             for s in samplers:
                 s.advance(i)
-            yield self._collate(rng)
+            stream.append(self._collate(rng))
+            yield stream[-1]
+        self._stream = tuple(stream)  # a pass stopped early keeps nothing
 
     def __len__(self) -> int:
         return self.num_iterations

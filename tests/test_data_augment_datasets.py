@@ -1,5 +1,7 @@
 """Tests for augmentation simulation and the collating data loader."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.data.augment import MultiScaleResize, TokenizerSim, pad_and_truncate
 from repro.data.datasets import (
     DataLoader,
+    apply_drift_scenario,
     available_datasets,
     make_dataset,
 )
@@ -149,6 +152,27 @@ def test_peek_does_not_consume_loader_stream():
     peeked = loader.peek_sizes(16)
     assert len(peeked) == 16
     assert [b.shape for b in loader] == before
+
+
+def test_loader_draws_its_stream_once(monkeypatch):
+    draws = []
+    collate = DataLoader._collate
+
+    def counting_collate(self, rng):
+        draws.append(self)
+        return collate(self, rng)
+
+    monkeypatch.setattr(DataLoader, "_collate", counting_collate)
+    ds = apply_drift_scenario(make_dataset("glue-qqp"), "curriculum", 20)
+    loader = DataLoader(ds, 8, 20, seed=5)
+    assert len(list(itertools.islice(loader, 5))) == 5
+    first = list(loader)  # the partial pass kept nothing: a full draw
+    assert len(draws) == 5 + 20
+    loader.peek_sizes(16)
+    assert list(loader) == first  # replayed, not drawn
+    assert len(draws) == 5 + 20 + 16
+    # the kept stream is the one a fresh loader draws
+    assert list(DataLoader(ds, 8, 20, seed=5)) == first
 
 
 def test_worst_case_batch_dominates_observed():
