@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.collector import ShuttlingCollector
 from repro.core.estimators import PolynomialRegressor, Regressor
+from repro.tensorsim.clock import left_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,6 +303,6 @@ class LightningMemoryEstimator:
             num_units=len(self._units["bytes"].models),
             num_samples=num_samples,
             train_time_s=self._last_fit_time,
-            predict_latency_s=sum(latencies) / max(len(latencies), 1),
-            relative_error=sum(errors) / max(len(errors), 1),
+            predict_latency_s=left_sum(latencies) / max(len(latencies), 1),
+            relative_error=left_sum(errors) / max(len(errors), 1),
         )

@@ -12,6 +12,7 @@ import json
 from typing import Mapping, Sequence
 
 from repro.engine.stats import RunResult
+from repro.tensorsim.clock import left_sum
 
 GB = 1024**3
 
@@ -74,7 +75,7 @@ def improvement_over(
         raise ValueError(
             f"no matched budgets between {planner!r} and {reference!r}"
         )
-    return sum(ratios) / len(ratios)
+    return left_sum(ratios) / len(ratios)
 
 
 # ------------------------------------------------------------------- export

@@ -1,7 +1,12 @@
 """Tests for the shuttling collector and the lightning memory estimator."""
 
+import builtins
+import math
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core import estimator as estimator_module
 from repro.core.collector import ShuttlingCollector
 from repro.core.estimator import LightningMemoryEstimator
 from repro.core.estimators import PolynomialRegressor
@@ -188,6 +193,31 @@ def test_estimator_evaluate_report():
     assert report.predict_latency_s > 0
     with pytest.raises(ValueError):
         est.evaluate({})
+
+
+def test_estimator_report_means_are_left_folds(monkeypatch):
+    """The report's mean error and latency add left to right from 0.0,
+    as the builtin ``sum()`` does up to Python 3.11.  Since 3.12 it
+    compensates, which ``math.fsum`` emulates here: on these values it
+    rounds differently."""
+    est = LightningMemoryEstimator()
+    est.fit(quadratic_collector())
+    monkeypatch.setattr(
+        builtins, "sum", lambda values, start=0: math.fsum([start, *values])
+    )
+    # one unit of 1 actual byte per size: relative errors 1e16, 1.0, 1.0,
+    # and a clock that times the predictions alike
+    predicted = {1: 10**16 + 1, 2: 2, 3: 2}
+    monkeypatch.setattr(est, "predict_bytes", lambda unit, size: predicted[size])
+    clock = iter([0.0, 1e16, 0.0, 1.0, 0.0, 1.0])
+    monkeypatch.setattr(
+        estimator_module, "time", SimpleNamespace(perf_counter=clock.__next__)
+    )
+    report = est.evaluate({size: {"enc.0": 1} for size in predicted})
+    mean = (1e16 + 1.0 + 1.0) / 3
+    assert sum([1e16, 1.0, 1.0]) / 3 != mean  # compensated
+    assert report.relative_error == mean
+    assert report.predict_latency_s == mean
 
 
 def bwd_collector(sizes=(100, 400, 800, 1500, 2500, 4000, 6000)):

@@ -1,8 +1,11 @@
 """Tests for the post-run analysis/export utilities."""
 
+import builtins
 import csv
 import io
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -62,6 +65,30 @@ def test_improvement_over_matched_budgets():
     ]
     imp = improvement_over(runs, "mimose", "sublinear")
     assert imp == pytest.approx((0.2 + 0.1) / 2)
+
+
+def test_improvement_over_is_a_left_fold(monkeypatch):
+    """The mean speedup adds left to right from 0.0, as the builtin
+    ``sum()`` does up to Python 3.11.  Since 3.12 it compensates, which
+    ``math.fsum`` emulates here: on these ratios it rounds differently."""
+    monkeypatch.setattr(
+        builtins, "sum", lambda values, start=0: math.fsum([start, *values])
+    )
+    zero = dict.fromkeys(
+        ("bwd_time", "recompute_time", "planning_time", "optimizer_time"), 0.0
+    )
+
+    def run(planner, budget, seconds):
+        r = RunResult("T", planner, budget)
+        r.append(replace(make_run(planner).iterations[0], fwd_time=seconds, **zero))
+        return r
+
+    # speedup ratios 1e16, 1.0 and 1.0, in that order
+    runs = []
+    for budget, ref_time in zip((1, 2, 3), (1e16, 2.0, 2.0)):
+        runs += [run("mimose", budget, 1.0), run("sublinear", budget, ref_time)]
+    assert sum([1e16, 1.0, 1.0]) / 3 != (1e16 + 1.0 + 1.0) / 3  # compensated
+    assert improvement_over(runs, "mimose", "sublinear") == (1e16 + 1.0 + 1.0) / 3
 
 
 def test_improvement_over_no_match_raises():
