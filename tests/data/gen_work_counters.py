@@ -3,8 +3,8 @@
 
 The file pins the deterministic work of two reduced runs (see
 ``tests/test_work_counters.py``): tier splits, cache counters, allocator
-and free-list operations, compiled placements, bus emits per event type
-and unit traces.  A behaviour-preserving refactor must leave it
+and free-list operations, compiled placements, bus emits per event type,
+unit traces, unit-time computations, loader draws and solver assigns.  A behaviour-preserving refactor must leave it
 unchanged.  Only regenerate it for a change that alters the work on
 purpose, and state the delta and the reason with the change.
 
