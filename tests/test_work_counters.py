@@ -62,7 +62,7 @@ def _counting(counts: Counter, key: str, fn: Callable) -> Callable:
 
 
 def _solver_classes(cls: type = Solver):
-    """``cls`` and every subclass, each once."""
+    """``cls`` and every subclass, recursively."""
     yield cls
     for sub in cls.__subclasses__():
         yield from _solver_classes(sub)
