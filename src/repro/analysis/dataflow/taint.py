@@ -3,9 +3,9 @@
 A *taint source* is an expression whose value depends on something
 outside the seeded, simulated world — a host wall-clock read or an
 unseeded RNG draw.  :class:`SourceDetector` recognises those calls per
-file (reusing the same import-alias tracking as the syntactic
-``wall-clock`` and ``rng-discipline`` rules, so the two tiers can never
-disagree about what counts as a clock).  :class:`TaintEngine` is the
+file, and the syntactic ``wall-clock`` and ``rng-discipline`` rules flag
+the calls it labels, so the two tiers can never disagree about what
+counts as a clock.  :class:`TaintEngine` is the
 :class:`~repro.analysis.dataflow.lattice.ForwardAnalysis` instance that
 pushes source labels through assignments, augmented assigns, tuple
 unpacking, attribute stores, container mutation and calls; the abstract
@@ -31,11 +31,31 @@ from typing import Callable, FrozenSet, Optional
 
 from repro.analysis.core import FileContext, dotted_name
 from repro.analysis.dataflow.lattice import Env, ForwardAnalysis
-from repro.analysis.rules.rng import _CONSTRUCTORS as _RNG_CONSTRUCTORS
-from repro.analysis.rules.wallclock import _DATETIME_FNS, _TIME_FNS
 
 Taint = FrozenSet["TaintSource"]
 EMPTY: Taint = frozenset()
+
+#: functions of the stdlib ``time`` module that read host time
+TIME_FNS = {
+    "time",
+    "time_ns",
+    "perf_counter",
+    "perf_counter_ns",
+    "monotonic",
+    "monotonic_ns",
+    "process_time",
+    "process_time_ns",
+    "clock_gettime",
+    "localtime",
+    "gmtime",
+}
+#: ``datetime`` constructors that read host time
+DATETIME_FNS = {"now", "utcnow", "today"}
+#: attributes of ``numpy.random`` that construct or name generator types
+#: rather than drawing from the legacy global state
+RNG_CONSTRUCTORS = {
+    "default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64",
+}
 
 #: container methods that fold an argument's value into the receiver
 _MUTATORS = {
@@ -68,18 +88,20 @@ class TaintSource:
 
 
 class SourceDetector:
-    """Per-file recognition of taint-source calls.
+    """Per-file recognition of taint-source calls: the one recognizer
+    behind the ``wall-clock`` and ``rng-discipline`` rules and the
+    determinism taint.
 
     Import aliases are resolved once per context (``import time as t``,
     ``from time import perf_counter as pc`` and numpy spellings all
-    count), mirroring the syntactic rules' logic.
+    count).
     """
 
     def __init__(self, ctx: FileContext) -> None:
         self.relpath = ctx.relpath
         self.time_aliases = {"time"}
         self.time_from: set[str] = set()
-        self.numpy_aliases = {"numpy"}
+        numpy_aliases = {"numpy"}
         self.random_aliases: set[str] = set()
         self.random_from: set[str] = set()
         for node in ctx.nodes():
@@ -88,17 +110,19 @@ class SourceDetector:
                     if alias.name == "time":
                         self.time_aliases.add(alias.asname or "time")
                     elif alias.name == "numpy":
-                        self.numpy_aliases.add(alias.asname or "numpy")
+                        numpy_aliases.add(alias.asname or "numpy")
                     elif alias.name == "random":
                         self.random_aliases.add(alias.asname or "random")
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "time":
                     for alias in node.names:
-                        if alias.name in _TIME_FNS:
+                        if alias.name in TIME_FNS:
                             self.time_from.add(alias.asname or alias.name)
                 elif node.module == "random":
                     for alias in node.names:
                         self.random_from.add(alias.asname or alias.name)
+        #: ``numpy.random`` under every name the file imports numpy as
+        self.legacy_roots = {f"{a}.random" for a in numpy_aliases}
 
     def source_for_call(self, node: ast.Call) -> Optional[TaintSource]:
         dotted = dotted_name(node.func)
@@ -106,18 +130,15 @@ class SourceDetector:
             return None
         root, _, fn = dotted.rpartition(".")
         kind: Optional[str] = None
-        if (root in self.time_aliases and fn in _TIME_FNS) or (
+        if (root in self.time_aliases and fn in TIME_FNS) or (
             not root and fn in self.time_from
         ):
             kind = "wall-clock"
-        elif fn in _DATETIME_FNS and root.split(".")[-1] in ("datetime", "date"):
+        elif fn in DATETIME_FNS and root.split(".")[-1] in ("datetime", "date"):
             kind = "wall-clock"
         elif root in self.random_aliases or (not root and fn in self.random_from):
             kind = "stdlib-random"
-        elif (
-            root in {f"{a}.random" for a in self.numpy_aliases}
-            and fn not in _RNG_CONSTRUCTORS
-        ):
+        elif root in self.legacy_roots and fn not in RNG_CONSTRUCTORS:
             kind = "legacy-rng"
         elif fn == "default_rng" and not node.args and not node.keywords:
             kind = "unseeded-rng"

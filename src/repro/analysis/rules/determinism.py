@@ -15,7 +15,7 @@ Mechanics (see docs/static-analysis.md, "Dataflow engine"):
 * **sources** — wall-clock reads, stdlib ``random``, numpy legacy-RNG
   draws and unseeded ``default_rng()`` (the
   :class:`~repro.analysis.dataflow.taint.SourceDetector` labels, which
-  reuse the syntactic rules' own call tables);
+  the syntactic ``wall-clock`` and ``rng-discipline`` rules read too);
 * **propagation** — the intraprocedural taint lattice, plus
   interprocedural *return summaries* over the project call graph: a
   helper that returns ``perf_counter() - start`` taints its callers'

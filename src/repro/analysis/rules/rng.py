@@ -20,6 +20,10 @@ Flagged:
 Allowed: ``np.random.default_rng(seed)`` construction sites, and any
 use of a ``Generator`` instance (``rng.integers(...)`` is invisible to
 this rule by design — the discipline is enforced at the *source*).
+
+The calls flagged are those :class:`~repro.analysis.dataflow.taint
+.SourceDetector` labels ``legacy-rng`` or ``unseeded-rng``; a stdlib
+``random`` call is flagged at its import.
 """
 
 from __future__ import annotations
@@ -27,11 +31,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.core import FileContext, Finding, Rule, dotted_name, register_rule
-
-#: attributes of ``numpy.random`` that construct or name generator types
-#: rather than drawing from the legacy global state
-_CONSTRUCTORS = {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64"}
+from repro.analysis.core import FileContext, Finding, Rule, register_rule
+from repro.analysis.dataflow.taint import RNG_CONSTRUCTORS, detector_for
 
 
 @register_rule
@@ -43,17 +44,12 @@ class RngDisciplineRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        numpy_aliases = {"numpy"}
-        random_aliases: set[str] = set()
         for node in ctx.nodes():
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name == "numpy":
-                        numpy_aliases.add(alias.asname or "numpy")
-                    elif alias.name == "random" or alias.name.startswith(
+                    if alias.name == "random" or alias.name.startswith(
                         "random."
                     ):
-                        random_aliases.add(alias.asname or alias.name)
                         yield self.finding(
                             ctx, node,
                             "import of stdlib `random` (process-global RNG); "
@@ -68,7 +64,7 @@ class RngDisciplineRule(Rule):
                     )
                 elif node.module == "numpy.random":
                     for alias in node.names:
-                        if alias.name not in _CONSTRUCTORS:
+                        if alias.name not in RNG_CONSTRUCTORS:
                             yield self.finding(
                                 ctx, node,
                                 f"`from numpy.random import {alias.name}` "
@@ -76,25 +72,23 @@ class RngDisciplineRule(Rule):
                                 "seeded default_rng(...) Generator",
                             )
 
-        legacy_roots = {f"{a}.random" for a in numpy_aliases}
+        detector = detector_for(ctx)
         for node in ctx.nodes():
             if not isinstance(node, ast.Call):
                 continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
+            source = detector.source_for_call(node)
+            if source is None:
                 continue
-            root, _, fn = dotted.rpartition(".")
-            if root in legacy_roots and fn not in _CONSTRUCTORS:
+            if source.kind == "legacy-rng":
                 yield self.finding(
                     ctx, node,
-                    f"`{dotted}(...)` draws from numpy's process-global "
-                    "legacy RNG; use a seeded, threaded "
+                    f"`{source.detail}(...)` draws from numpy's "
+                    "process-global legacy RNG; use a seeded, threaded "
                     "np.random.Generator",
                 )
-            elif fn == "default_rng" or dotted == "default_rng":
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        ctx, node,
-                        "`default_rng()` without a seed pulls OS entropy — "
-                        "every construction site must pass an explicit seed",
-                    )
+            elif source.kind == "unseeded-rng":
+                yield self.finding(
+                    ctx, node,
+                    "`default_rng()` without a seed pulls OS entropy — "
+                    "every construction site must pass an explicit seed",
+                )

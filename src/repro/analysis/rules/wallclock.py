@@ -15,6 +15,9 @@ planner costs on the real system's critical path) are exempted through
 the rule's ``allow`` path globs in ``[tool.replint.rules.wall-clock]``,
 so a new wall-clock read anywhere else is an error until it is either
 moved behind the clock or explicitly allowlisted in review.
+
+The calls flagged are those :class:`~repro.analysis.dataflow.taint
+.SourceDetector` labels ``wall-clock``.
 """
 
 from __future__ import annotations
@@ -22,24 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.core import FileContext, Finding, Rule, dotted_name, register_rule
-
-#: functions of the stdlib ``time`` module that read host time
-_TIME_FNS = {
-    "time",
-    "time_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-    "process_time_ns",
-    "clock_gettime",
-    "localtime",
-    "gmtime",
-}
-#: ``datetime`` constructors that read host time
-_DATETIME_FNS = {"now", "utcnow", "today"}
+from repro.analysis.core import FileContext, Finding, Rule, register_rule
+from repro.analysis.dataflow.taint import DATETIME_FNS, detector_for
 
 
 @register_rule
@@ -51,41 +38,27 @@ class WallClockRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        time_aliases = {"time"}
-        from_imports: set[str] = set()
-        for node in ctx.nodes():
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time":
-                        time_aliases.add(alias.asname or "time")
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in _TIME_FNS:
-                        from_imports.add(alias.asname or alias.name)
-
+        detector = detector_for(ctx)
         for node in ctx.nodes():
             if not isinstance(node, ast.Call):
                 continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
+            source = detector.source_for_call(node)
+            if source is None or source.kind != "wall-clock":
                 continue
+            dotted = source.detail
             root, _, fn = dotted.rpartition(".")
-            if (root in time_aliases and fn in _TIME_FNS) or (
-                not root and fn in from_imports
-            ):
+            # ``datetime.now()`` & co. (no ``time`` function has these names)
+            if root and fn in DATETIME_FNS:
+                yield self.finding(
+                    ctx, node,
+                    f"wall-clock read `{dotted}(...)`: host time must not "
+                    "reach digest-bearing state",
+                )
+            else:
                 yield self.finding(
                     ctx, node,
                     f"wall-clock read `{dotted}(...)`: host time must not "
                     "reach digest-bearing state; use the simulated clock, "
                     "or allowlist this file if it measures genuine planner "
                     "overhead",
-                )
-            elif fn in _DATETIME_FNS and root.split(".")[-1] in (
-                "datetime",
-                "date",
-            ):
-                yield self.finding(
-                    ctx, node,
-                    f"wall-clock read `{dotted}(...)`: host time must not "
-                    "reach digest-bearing state",
                 )

@@ -93,8 +93,6 @@ class LifecycleController:
             residuals (default-constructed when drift detection is on).
         size_monitor: CUSUM over plan-time input sizes (default-
             constructed when drift detection is on).
-        recollect_iterations: fresh sheltered iterations required after a
-            drift eviction before the estimator may be refitted.
     """
 
     def __init__(
@@ -109,7 +107,6 @@ class LifecycleController:
         drift_detection: bool = False,
         residual_detector: Optional[PageHinkleyDetector] = None,
         size_monitor: Optional[CusumMonitor] = None,
-        recollect_iterations: Optional[int] = None,
     ) -> None:
         self.collector = collector
         self.estimator = estimator
@@ -126,11 +123,9 @@ class LifecycleController:
         self.size_monitor = (
             size_monitor if size_monitor is not None else CusumMonitor()
         )
-        if recollect_iterations is None:
-            recollect_iterations = max(2, collector.min_iterations // 2)
-        if recollect_iterations < 1:
-            raise ValueError("recollect_iterations must be >= 1")
-        self.recollect_iterations = recollect_iterations
+        #: fresh sheltered iterations required after a drift eviction
+        #: before the estimator may be refitted
+        self.recollect_iterations = max(2, collector.min_iterations // 2)
         self.state = LifecycleState.COLLECTING
         # bookkeeping surfaced through RunResult / `repro run`
         self.fit_count = 0

@@ -80,9 +80,6 @@ class MimosePlanner(Planner):
             (:mod:`repro.core.drift`) — residual Page–Hinkley plus
             input-size CUSUM — enabling the DRIFTED → partial
             re-collection → refit path under non-stationary inputs.
-        collector_window: rolling-window cap on retained sheltered
-            iterations (None keeps everything; see
-            :class:`~repro.core.collector.ShuttlingCollector`).
     """
 
     name = "mimose"
@@ -110,7 +107,6 @@ class MimosePlanner(Planner):
         recollect_margin: float = 0.10,
         adaptive_margin: bool = False,
         drift_detection: bool = False,
-        collector_window: Optional[int] = None,
     ) -> None:
         super().__init__(budget_bytes)
         if headroom_bytes is None:
@@ -119,10 +115,7 @@ class MimosePlanner(Planner):
             headroom_bytes = max(512 * _MB, int(0.10 * budget_bytes))
         if headroom_bytes < 0 or headroom_step < 0:
             raise ValueError("headroom must be non-negative")
-        self.collector = ShuttlingCollector(
-            min_iterations=collect_iterations,
-            window_iterations=collector_window,
-        )
+        self.collector = ShuttlingCollector(min_iterations=collect_iterations)
         self.estimator = estimator if estimator is not None else LightningMemoryEstimator()
         self.scheduler = scheduler if scheduler is not None else GreedyScheduler()
         # NB: `cache or PlanCache()` would discard a user-supplied cache —

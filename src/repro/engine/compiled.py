@@ -8,9 +8,9 @@ state drifts as segments are reserved for longer inputs — even though
 the iteration that runs is structurally the *same program*.  This module
 generalises replay to **near-recurrence**: certification lifts a
 steady-state iteration's recorded trace into a *symbolic template* for
-its plan ``(mode, assignment, label, dtype)``, and a later iteration
-under that plan, at another input size or allocator state, is served by
-one template evaluation instead of a full tensor-level simulation::
+its :class:`~repro.engine.replay.PlanKey`, and a later iteration under
+that plan, at another input size or allocator state, is served by one
+template evaluation instead of a full tensor-level simulation::
 
     exact replay hit  →  compiled-template hit  →  full simulation
 
@@ -80,11 +80,16 @@ request vector they read
 template's packed :attr:`CompiledTemplate.program`; the free list is
 decoded only when a verdict is missing.  The charge program then folds
 in emission order (bit-identical float accumulation), and the signature
-gives the memory stats.  A request that finds no block, or a peak over
-the limit, falls back to full simulation; *structural* drift (the record
-layout) deletes the template, and full simulation may re-certify.  The
-planner's upkeep rate cannot drift: a cache, like its planner, belongs
-to one executor, and the rate is fixed when the planner is built.
+gives the memory stats.  The result is a
+:class:`~repro.engine.replay.ReplayRecord`, the same object a full
+simulation stores: the executor serves it like a replay hit and stores
+it under the iteration's replay key.  A request that finds no block, a
+peak over the limit, or a record layout other than the certified one
+falls back to full simulation, and the template stays.  (Every
+registered model has one record layout at every shape, so the layout
+check only guards the gather.)  The planner's upkeep rate cannot drift:
+a cache, like its planner, belongs to one executor, and the rate is
+fixed when the planner is built.
 
 Why not serve stats from the fitted memory-estimator polynomials?  The
 estimator is a *regression* — its predictions approximate, so they can
@@ -99,16 +104,15 @@ from __future__ import annotations
 from array import array
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.engine.replay import ReplayKey, ReplayRecord
+from repro.engine.replay import PlanKey, ReplayKey, ReplayRecord
 from repro.engine.stats import IterationStats, UnitMeasurement
 from repro.tensorsim.allocator import FreeList, request_size
 
 if TYPE_CHECKING:
     from repro.engine.executor import TrainingExecutor
     from repro.models.base import BatchInput, SegmentedModel
-    from repro.planners.base import PlanDecision
 
 
 #: LRU capacity of a :class:`CompiledCache`, in plans.  Nothing flushes
@@ -124,24 +128,6 @@ _TIME_COLUMN = {"fwd": 0, "recompute": 0, "collect": 0, "bwd": 1}
 
 class _Reject(Exception):
     """Internal: this plan cannot be certified size-generic."""
-
-
-class CompiledKey(NamedTuple):
-    """Plan fingerprint: a :class:`ReplayKey` minus size and allocator state.
-
-    Dropping ``shape`` and ``signature`` is what turns exact recurrence
-    into near-recurrence — both become inputs of
-    :meth:`CompiledTemplate.evaluate`.
-    """
-
-    mode: object
-    assignment: object
-    label: str
-    dtype: str
-
-    @classmethod
-    def of(cls, key: ReplayKey) -> "CompiledKey":
-        return cls(key.mode, key.assignment, key.label, key.dtype)
 
 
 @dataclass(slots=True, eq=False)
@@ -170,6 +156,7 @@ class CompiledTemplate:
     charge_prog: tuple
     #: per measured unit: (unit_idx, vector slots of its saved records)
     measure_spec: tuple
+    #: the certification pass's stats, as its record stores them
     const_stats: IterationStats
     #: in-use bytes a served pass must stay within (the strategy's
     #: :meth:`~repro.engine.strategies.ExecutionStrategy.peak_limit`)
@@ -242,17 +229,16 @@ class CompiledTemplate:
         executor: "TrainingExecutor",
         batch: "BatchInput",
         signature: tuple,
-        decision: "PlanDecision",
-        iteration: int,
-    ) -> Optional[tuple[IterationStats, float] | str]:
+    ) -> Optional[ReplayRecord]:
         """Serve this template at ``batch`` from the allocator state
         ``signature`` (:meth:`CachingAllocator.state_signature`).
 
-        Returns ``(stats, sim_time)`` bit-identical to full simulation,
-        the string ``"stale"`` when the template no longer describes the
-        world (structural drift — the caller must delete it), or None
-        when this particular size and state cannot be served (fall back
-        to full simulation, template stays).
+        Returns the record full simulation would store for this world,
+        bit for bit, or None when this size and state cannot be served
+        (fall back to full simulation; the template stays).  Like every
+        record, its stats carry the recording pass's iteration and
+        predicted peak and no planning time
+        (:meth:`ReplayRecord.materialize` patches them).
         """
         # The size-dependent inputs — record layout, request vector,
         # placement, unit times — are pure functions of the batch shape
@@ -261,7 +247,7 @@ class CompiledTemplate:
         # check guards the gather: equal layouts index the vector alike.
         model = executor.model
         if model.record_layout(batch) != self.layout:
-            return "stale"  # structural drift: not the certified program
+            return None
         peak_overshoot = self._placement(model, batch, signature)
         if peak_overshoot is None:
             return None
@@ -299,14 +285,12 @@ class CompiledTemplate:
         largest_free = max((size for _seg, _off, size in free_blocks), default=0)
         stats = replace(
             self.const_stats,
-            iteration=iteration,
             input_size=batch.input_size,
             input_shape=batch.shape,
             fwd_time=comp["fwd"],
             bwd_time=comp["bwd"],
             recompute_time=comp["recompute"],
             collect_time=comp["collect"],
-            planning_time=decision.planning_time,
             upkeep_time=comp["upkeep"],
             optimizer_time=comp["optimizer"],
             peak_in_use=peak,
@@ -314,9 +298,8 @@ class CompiledTemplate:
             end_in_use=in_use,
             fragmentation_bytes=max(0, reserved - in_use - largest_free),
             measurements=tuple(meas),
-            predicted_peak_bytes=decision.plan.predicted_peak_bytes,
         )
-        return stats, t
+        return ReplayRecord(stats, t)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +310,6 @@ class CompiledTemplate:
 def _certify(
     executor: "TrainingExecutor",
     batch: "BatchInput",
-    decision: "PlanDecision",
     replay_key: ReplayKey,
     record: ReplayRecord,
     ops: Sequence[tuple],
@@ -465,20 +447,17 @@ def _certify(
     vec = model.request_sizes(batch)
     if [vec[i] for i in template.req_index] != req_sizes0:
         raise _Reject("vector slots mis-derive the certification requests")
-    result = template.evaluate(
-        executor, batch, replay_key.signature, decision, record.stats.iteration
-    )
-    if not isinstance(result, tuple):
+    served = template.evaluate(executor, batch, replay_key.signature)
+    if served is None:
         raise _Reject("template rejects its own certification input")
-    stats, t = result
-    if replace(stats, planning_time=0.0) != record.stats:
+    if served.stats != record.stats:
         raise _Reject("template mis-evaluates its certification input")
     # Summed from 0.0 like the template's fold: ``record.sim_time`` is a
     # difference of two absolute clock readings and rounds differently.
     sim_time = 0.0
     for _name, seconds, _ui in charges:
         sim_time += seconds
-    if t != sim_time:
+    if served.sim_time != sim_time:
         raise _Reject("template mis-times its certification input")
     return template
 
@@ -489,8 +468,8 @@ def _certify(
 
 
 class CompiledCache:
-    """Bounded LRU of :class:`CompiledTemplate` keyed by plan, at most
-    :data:`MAX_TEMPLATES` of them.
+    """Bounded LRU of :class:`CompiledTemplate` keyed by
+    :class:`PlanKey`, at most :data:`MAX_TEMPLATES` of them.
 
     The middle tier of the executor's lookup ladder.  Consulted only
     after an exact replay miss, for iterations that carry a
@@ -500,10 +479,8 @@ class CompiledCache:
     """
 
     def __init__(self) -> None:
-        self._templates: OrderedDict[CompiledKey, CompiledTemplate] = (
-            OrderedDict()
-        )
-        self._rejected: set[CompiledKey] = set()
+        self._templates: OrderedDict[PlanKey, CompiledTemplate] = OrderedDict()
+        self._rejected: set[PlanKey] = set()
         self.hits = 0
         self.misses = 0
         #: templates successfully certified
@@ -512,8 +489,8 @@ class CompiledCache:
         #: gave (never re-tried: every reject seen so far is the
         #: copy-engine rule, a property of the plan, not of the size)
         self.reject_reasons: Counter[str] = Counter()
-        #: evaluations that could not serve (infeasible size, structural
-        #: drift) and fell back to full simulation
+        #: evaluations that could not serve (no block, a peak over the
+        #: limit, another record layout) and fell back to full simulation
         self.fallbacks = 0
 
     def __len__(self) -> int:
@@ -533,30 +510,22 @@ class CompiledCache:
         self,
         executor: "TrainingExecutor",
         batch: "BatchInput",
-        decision: "PlanDecision",
         replay_key: ReplayKey,
-        iteration: int,
-    ) -> Optional[tuple[IterationStats, float]]:
-        """(stats, sim_time) for this iteration, or None → full simulation."""
-        key = CompiledKey.of(replay_key)
-        template = self._templates.get(key)
+    ) -> Optional[ReplayRecord]:
+        """The record of this iteration's world, evaluated by its plan's
+        template, or None → full simulation."""
+        template = self._templates.get(replay_key.plan)
         if template is None:
             self.misses += 1
             return None
-        result = template.evaluate(
-            executor, batch, replay_key.signature, decision, iteration
-        )
-        if isinstance(result, tuple):
-            self._templates.move_to_end(key)
-            self.hits += 1
-            return result
-        if result == "stale":
-            # structural drift: the template no longer describes this
-            # plan — delete it and let full simulation re-certify
-            del self._templates[key]
-        self.fallbacks += 1
-        self.misses += 1
-        return None
+        record = template.evaluate(executor, batch, replay_key.signature)
+        if record is None:
+            self.fallbacks += 1
+            self.misses += 1
+            return None
+        self._templates.move_to_end(replay_key.plan)
+        self.hits += 1
+        return record
 
     def wants_trace(self, replay_key: Optional[ReplayKey]) -> bool:
         """Whether a full simulation of this world is a certification
@@ -565,14 +534,13 @@ class CompiledCache:
         iterations."""
         if replay_key is None:
             return False
-        key = CompiledKey.of(replay_key)
-        return key not in self._templates and key not in self._rejected
+        plan = replay_key.plan
+        return plan not in self._templates and plan not in self._rejected
 
     def maybe_certify(
         self,
         executor: "TrainingExecutor",
         batch: "BatchInput",
-        decision: "PlanDecision",
         replay_key: ReplayKey,
         record: ReplayRecord,
         ops: Optional[Sequence[tuple]],
@@ -588,11 +556,10 @@ class CompiledCache:
         """
         if ops is None:
             return
-        key = CompiledKey.of(replay_key)
+        key = replay_key.plan
         try:
             template = _certify(
-                executor, batch, decision, replay_key, record, ops, charges,
-                peak_limit,
+                executor, batch, replay_key, record, ops, charges, peak_limit
             )
         except _Reject as reject:
             self._rejected.add(key)

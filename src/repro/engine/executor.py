@@ -10,10 +10,10 @@ happens is published on :attr:`TrainingExecutor.events`
 back from the bus: fault windows, stats and planner feedback are direct
 calls.  One iteration runs as::
 
-    plan → arm fault window → (replay-cache lookup) → strategy.begin
-         → input alloc → strategy.run_forward → strategy.run_backward
-         → optimizer → stats finalize → (replay-record store)
-         → planner.observe
+    plan → arm fault window → (record lookup: replay, then compiled)
+         → strategy.begin → input alloc → strategy.run_forward
+         → strategy.run_backward → optimizer → stats finalize
+         → (replay-record store) → planner.observe
 
 Modelling deviations from a real runtime are documented in
 :mod:`repro.engine.strategies`.
@@ -218,13 +218,14 @@ class TrainingExecutor:
     def run_iteration(self, batch: BatchInput, decision: PlanDecision) -> IterationStats:
         """Execute one iteration under an explicit plan decision.
 
-        Three-tier lookup: a replay record proving this iteration's world
-        (mode, plan, batch shape, allocator state) identical to one
-        already simulated is served without touching the allocator; on a
-        miss, the plan's certified compiled template (any batch size and
-        allocator state) is evaluated symbolically; otherwise simulate in
-        full and — if the allocator round-trips — record, and certify a
-        template from the recorded pass.
+        Three-tier lookup for the record of this iteration's world (plan,
+        batch shape, allocator state): the replay cache's, if the world
+        was seen; else the one the plan's certified compiled template
+        evaluates (any batch size and allocator state), which the replay
+        cache then stores.  Either record is served alike, without
+        touching the allocator.  Otherwise simulate in full and — if the
+        allocator round-trips — record, and certify a template from the
+        recorded pass.
         """
         self._iteration += 1
         iteration = self._iteration
@@ -241,16 +242,13 @@ class TrainingExecutor:
         replay_key = self._replay_key(batch, decision, strategy)
         if replay_key is not None:
             record = self.replay.lookup(replay_key)
+            compiled = record is None and self.compiled is not None
+            if compiled:
+                record = self.compiled.serve(self, batch, replay_key)
+                if record is not None:
+                    self.replay.store(replay_key, record)
             if record is not None:
-                return self._replay_iteration(iteration, decision, record)
-            if self.compiled is not None:
-                served = self.compiled.serve(
-                    self, batch, decision, replay_key, iteration
-                )
-                if served is not None:
-                    return self._compiled_iteration(
-                        iteration, decision, replay_key, served
-                    )
+                return self._serve(iteration, decision, record, compiled)
         return self._simulate(batch, decision, iteration, strategy, replay_key)
 
     def _state_signature(self) -> tuple:
@@ -292,12 +290,22 @@ class TrainingExecutor:
             return None
         return ReplayCache.key(decision, batch, self._state_signature())
 
-    def _replay_iteration(
-        self, iteration: int, decision: PlanDecision, record: ReplayRecord
+    def _serve(
+        self,
+        iteration: int,
+        decision: PlanDecision,
+        record: ReplayRecord,
+        compiled: bool,
     ) -> IterationStats:
-        """Serve one iteration from its replay record (allocator untouched)."""
+        """Serve one iteration from the record of its world (allocator
+        untouched); ``compiled`` says a template evaluated it just now."""
         self.clock.advance(decision.planning_time)
-        if self.events.wants(ReplayHit):
+        if compiled:
+            if self.events.wants(CompiledHit):
+                self.events.emit(
+                    CompiledHit(iteration, self.clock.now, record.sim_time)
+                )
+        elif self.events.wants(ReplayHit):
             # the TimelineObserver re-emits the recorded samples
             self.events.emit(
                 ReplayHit(
@@ -306,35 +314,6 @@ class TrainingExecutor:
             )
         self.clock.advance(record.sim_time)
         stats = record.materialize(iteration, decision)
-        self.events.emit(IterationEnd(stats))
-        return stats
-
-    def _compiled_iteration(
-        self,
-        iteration: int,
-        decision: PlanDecision,
-        replay_key: ReplayKey,
-        served: tuple[IterationStats, float],
-    ) -> IterationStats:
-        """Apply one compiled-template evaluation (allocator untouched).
-
-        The evaluated world round-tripped by construction (a balanced
-        program placed on a coalesced free list without a new segment),
-        so the result is also promoted to the exact tier: the same world
-        at the same size replays from now on without re-evaluating the
-        template.
-        """
-        stats, sim_time = served
-        self.clock.advance(decision.planning_time)
-        if self.events.wants(CompiledHit):
-            self.events.emit(CompiledHit(iteration, self.clock.now, sim_time))
-        self.clock.advance(sim_time)
-        self.replay.store(
-            replay_key,
-            ReplayRecord(
-                stats=replace(stats, planning_time=0.0), sim_time=sim_time
-            ),
-        )
         self.events.emit(IterationEnd(stats))
         return stats
 
@@ -417,8 +396,8 @@ class TrainingExecutor:
             if self.compiled is not None:
                 # one-off certification attempt for this plan
                 self.compiled.maybe_certify(
-                    self, batch, decision, replay_key, record, ops,
-                    ctx.charges, strategy.peak_limit(self),
+                    self, batch, replay_key, record, ops, ctx.charges,
+                    strategy.peak_limit(self),
                 )
         return stats
 

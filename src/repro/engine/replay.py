@@ -10,17 +10,22 @@ memoizes them.
 An iteration is replayed only when its world is **provably** identical
 to a recorded one.  The proof is the :class:`ReplayKey`:
 
-* the plan decision's execution mode and the plan's *canonical*
-  :class:`~repro.planners.base.ActionAssignment` (per-unit actions plus
-  segment grouping) together with the plan label — two decisions whose
-  plans assign the same actions key identically no matter which planner
-  structures built them (the plan's predicted peak is not part of the
-  key: no simulation reads it, and served stats take it from the
-  current decision);
-* the exact batch shape and dtype;
+* its :class:`PlanKey`: the plan decision's execution mode, the plan's
+  *canonical* :class:`~repro.planners.base.ActionAssignment` (per-unit
+  actions plus segment grouping), the plan label and the batch dtype —
+  two decisions whose plans assign the same actions key identically no
+  matter which planner structures built them (the plan's predicted peak
+  is not part of the key: no simulation reads it, and served stats take
+  it from the current decision);
+* the exact batch shape;
 * the allocator's behavioural :meth:`~repro.tensorsim.allocator
   .CachingAllocator.state_signature` at iteration start (reserved
   segments, free-block cache in order, accounting totals).
+
+The compiled tier (:mod:`repro.engine.compiled`) keys its templates by
+the plan key alone: the shape and the signature are inputs of a
+template's evaluation, and the record an evaluation returns is stored
+here under the whole key.
 
 Whether a memory timeline records is not part of the key: it is fixed
 per executor, and each executor owns its cache.  A timeline executor
@@ -60,10 +65,12 @@ a fault window leaves the allocator in a state the next key's signature
 records; and a recovery attempt is keyed like any other pass (the ladder
 patches its retry count, rung and charged time in after the pass).
 
-The only stats field that differs between a replayed iteration and a full
-simulation is ``planning_time``: it is genuine wall-clock measured by the
-planner (Table III) and is patched in from the current decision, exactly
-as the full path charges it.
+A record serves every iteration of its world, so the stats fields that
+belong to the iteration rather than the world are patched in on serving
+(:meth:`ReplayRecord.materialize`): the iteration number, the plan's
+predicted peak, and ``planning_time`` — genuine wall-clock measured by
+the planner (Table III), patched in from the current decision exactly as
+the full path charges it.
 """
 
 from __future__ import annotations
@@ -85,20 +92,22 @@ if TYPE_CHECKING:
 MAX_RECORDS = 1024
 
 
-class ReplayKey(NamedTuple):
-    """Typed iteration-world fingerprint (see module docstring).
-
-    Shared by the replay tier and the compiled tier: replay requires the
-    *whole* key to recur; the compiled tier derives its coarser plan key
-    from the same fields (dropping the shape and the signature, both
-    inputs of a template's evaluation).
-    """
+class PlanKey(NamedTuple):
+    """What a plan does, apart from the input size and allocator state:
+    the key of a compiled template."""
 
     mode: "ExecutionMode"
     assignment: "ActionAssignment"
     label: str
-    shape: tuple
     dtype: str
+
+
+class ReplayKey(NamedTuple):
+    """Typed iteration-world fingerprint (see module docstring): replay
+    requires the whole key to recur, the compiled tier only its plan."""
+
+    plan: PlanKey
+    shape: tuple
     signature: tuple
 
 
@@ -106,9 +115,10 @@ class ReplayKey(NamedTuple):
 class ReplayRecord:
     """Everything needed to replay one recorded iteration.
 
-    ``stats`` is stored with ``planning_time`` zeroed and a meaningless
-    iteration number; both are patched at replay time.  ``points`` are
-    memory-timeline samples relative to the post-planning clock.
+    ``stats`` is stored with ``planning_time`` zeroed, and with the
+    iteration number and predicted peak of the pass that made the record;
+    all three are patched at replay time.  ``points`` are memory-timeline
+    samples relative to the post-planning clock.
     """
 
     stats: IterationStats
@@ -118,7 +128,8 @@ class ReplayRecord:
     def materialize(
         self, iteration: int, decision: PlanDecision
     ) -> IterationStats:
-        """The stats this record stands for at a new iteration number."""
+        """The stats this record stands for at ``iteration`` under
+        ``decision``."""
         return replace(
             self.stats,
             iteration=iteration,
@@ -153,13 +164,11 @@ class ReplayCache:
         allocator_signature: tuple,
     ) -> ReplayKey:
         """The iteration-world fingerprint (see module docstring)."""
+        plan = decision.plan
         return ReplayKey(
-            mode=decision.mode,
-            assignment=decision.plan.assignment,
-            label=decision.plan.label,
-            shape=batch.shape,
-            dtype=batch.dtype,
-            signature=allocator_signature,
+            PlanKey(decision.mode, plan.assignment, plan.label, batch.dtype),
+            batch.shape,
+            allocator_signature,
         )
 
     def lookup(self, key: ReplayKey) -> Optional[ReplayRecord]:

@@ -321,8 +321,7 @@ class IterationContext:
         """Bind the unit's output tensor (reusing the last record if it is it)."""
         if rt.boundary is not None:
             return
-        acts = rt.profile.activations
-        if acts and acts[-1].spec == rt.profile.output and rt.internals:
+        if rt.profile.output_is_last_record and rt.internals:
             rt.boundary = rt.internals.pop()
             rt.records = rt.records[:-1]
             rt.boundary_is_internal = True

@@ -117,7 +117,7 @@ def make_planner(
     if name == "dtr":
         return DTRPlanner(budget_bytes)
     if name == "capuchin":
-        return CapuchinPlanner(budget_bytes)
+        return CapuchinPlanner(budget_bytes, device=device)
     if name == "mimose":
         kwargs: dict[str, object] = {}
         if solver is not None:

@@ -88,6 +88,13 @@ class ModuleProfile:
     def total_activation_bytes(self) -> int:
         return sum(a.nbytes for a in self.activations)
 
+    @property
+    def output_is_last_record(self) -> bool:
+        """Whether the last activation record is the module's output, and
+        so serves as the unit's output boundary instead of a new tensor."""
+        acts = self.activations
+        return bool(acts) and acts[-1].spec == self.output
+
     def saved_activations(self) -> tuple[ActivationRecord, ...]:
         return tuple(a for a in self.activations if a.saved)
 

@@ -179,7 +179,7 @@ class SegmentedModel:
             layout = tuple(
                 (
                     tuple((rec.name, rec.saved) for rec in p.activations),
-                    bool(p.activations) and p.activations[-1].spec == p.output,
+                    p.output_is_last_record,
                 )
                 for p in memo.profiles
             )

@@ -27,10 +27,9 @@ from repro.planners.base import ActionAssignment, MemoryAction, ModelView
 
 def _trimmed_records(profile: ModuleProfile) -> tuple[tuple[ActivationRecord, ...], bool]:
     """Records minus the final one when it is promoted to the boundary."""
-    acts = profile.activations
-    if acts and acts[-1].spec == profile.output:
-        return acts[:-1], True
-    return acts, False
+    if profile.output_is_last_record:
+        return profile.activations[:-1], True
+    return profile.activations, False
 
 
 def unit_saved_bytes(profile: ModuleProfile) -> int:

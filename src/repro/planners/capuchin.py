@@ -51,8 +51,9 @@ class CapuchinPlanner(Planner):
 
     Args:
         budget_bytes: GPU memory budget.
-        device: device model used to price PCIe transfers and kernels.
-        pcie_bandwidth: host link bandwidth (bytes/s).
+        device: the run's device model; it prices PCIe transfers (at its
+            preset's link speed, as the executor's copy engine runs them)
+            and kernels.
     """
 
     name = "capuchin"
@@ -67,18 +68,11 @@ class CapuchinPlanner(Planner):
     requires_physical_capacity = True  # assumes the measured input shape
 
     def __init__(
-        self,
-        budget_bytes: int,
-        *,
-        device: Optional[DeviceModel] = None,
-        pcie_bandwidth: float = 12e9,
+        self, budget_bytes: int, *, device: Optional[DeviceModel] = None
     ) -> None:
         super().__init__(budget_bytes)
         self.device = device or DeviceModel()
-        self.pcie_bandwidth = pcie_bandwidth
-        self.cost_model = PcieCostModel(
-            self.device, pcie_bandwidth=pcie_bandwidth
-        )
+        self.cost_model = PcieCostModel(self.device)
         self.scheduler = HybridGreedyScheduler(self.cost_model)
         self._plan: Optional[CheckpointPlan] = None
         self.planned_for_size: int = 0

@@ -87,7 +87,7 @@ class PcieCostModel:
     against ``recompute_cost(u) = forward_time(u)``, plus an aggregate
     envelope — swap-outs serialise on one copy engine and must complete
     roughly within the forward pass, so transfers beyond
-    ``envelope_fraction`` of the total forward time never finish before
+    :data:`ENVELOPE_FRACTION` of the total forward time never finish before
     their backward (the paper's §II observation that PCIe cannot keep up
     with activation production).
 
@@ -110,13 +110,14 @@ class PcieCostModel:
             ratio pricing even when measured backwards are available —
             the ``--bwd-ratio`` CLI override, useful for A/B-ing the
             constant against measured pricing.  Must be positive.
-        envelope_fraction: fraction of total forward time available to
-            the copy engine.
     """
 
     #: Fallback backward/forward ratio when no backwards were measured.
     #: A folk constant, not a law — see the class docstring.
     DEFAULT_BWD_RATIO = 2.0
+
+    #: Fraction of the total forward time available to the copy engine.
+    ENVELOPE_FRACTION = 0.8
 
     def __init__(
         self,
@@ -124,14 +125,12 @@ class PcieCostModel:
         *,
         pcie_bandwidth: Optional[float] = None,
         bwd_ratio: Optional[float] = None,
-        envelope_fraction: float = 0.8,
     ) -> None:
         if bwd_ratio is not None and bwd_ratio <= 0:
             raise ValueError(f"bwd_ratio must be positive, got {bwd_ratio}")
         self.device = device if device is not None else DeviceModel()
         self.pcie_bandwidth = pcie_bandwidth
         self.bwd_ratio = bwd_ratio
-        self.envelope_fraction = envelope_fraction
 
     def transfer_time(self, nbytes: int) -> float:
         return self.device.transfer_time(
@@ -178,7 +177,7 @@ class PcieCostModel:
     def transfer_envelope(self, inp: SolverInput) -> float:
         if inp.est_time is None:
             return 0.0
-        return self.envelope_fraction * left_sum(inp.est_time.values())
+        return self.ENVELOPE_FRACTION * left_sum(inp.est_time.values())
 
 
 class Solver:
@@ -218,7 +217,6 @@ class Solver:
         cls,
         *,
         device: Optional[DeviceModel] = None,
-        pcie_bandwidth: Optional[float] = None,
         bwd_ratio: Optional[float] = None,
     ) -> "Solver":
         """Registry constructor: build the solver from CLI-level knobs.
@@ -227,7 +225,7 @@ class Solver:
         solvers have no cost model); pricing solvers override this to
         build a :class:`PcieCostModel` from them.
         """
-        del device, pcie_bandwidth, bwd_ratio
+        del device, bwd_ratio
         return cls()
 
 
@@ -265,7 +263,6 @@ def make_solver(
     name: str,
     *,
     device: Optional[DeviceModel] = None,
-    pcie_bandwidth: Optional[float] = None,
     bwd_ratio: Optional[float] = None,
 ) -> Solver:
     """Construct a registered solver by name.
@@ -275,9 +272,7 @@ def make_solver(
     the class's :meth:`Solver.create`, which decides whether a cost
     model is needed — no per-solver branching here.
     """
-    return solver_class(name).create(
-        device=device, pcie_bandwidth=pcie_bandwidth, bwd_ratio=bwd_ratio
-    )
+    return solver_class(name).create(device=device, bwd_ratio=bwd_ratio)
 
 
 def predicted_swap_stall(

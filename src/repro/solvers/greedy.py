@@ -203,18 +203,9 @@ class HybridGreedyScheduler(Solver):
         cls,
         *,
         device: Optional[DeviceModel] = None,
-        pcie_bandwidth: Optional[float] = None,
         bwd_ratio: Optional[float] = None,
     ) -> "HybridGreedyScheduler":
-        return cls(
-            PcieCostModel(
-                device, pcie_bandwidth=pcie_bandwidth, bwd_ratio=bwd_ratio
-            )
-        )
-
-    def schedule(self, inp: SolverInput) -> frozenset[str]:
-        """Recompute-only view of :meth:`assign` (legacy callers)."""
-        return self.assign(inp).checkpoint_units
+        return cls(PcieCostModel(device, bwd_ratio=bwd_ratio))
 
     def assign(self, inp: SolverInput) -> ActionAssignment:
         if inp.excess_bytes <= 0:

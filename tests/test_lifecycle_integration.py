@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.lifecycle import LifecycleController
 from repro.data.datasets import DRIFT_SCENARIOS
 from repro.engine import compiled as compiled_mod
-from repro.engine.compiled import CompiledKey
+from repro.engine.replay import PlanKey
 from repro.engine.stats import RunResult
 from repro.experiments.runner import run_task, sweep
 from repro.experiments.tasks import GB, load_task
@@ -89,7 +89,7 @@ def test_refit_mid_run_keeps_fastpath_tiers(monkeypatch):
     certified twice, and the run equals full simulation."""
     executors: list = []
     kept: list[bool] = []
-    certified: list[CompiledKey] = []
+    certified: list[PlanKey] = []
     refit = LifecycleController._refit
     certify = compiled_mod._certify
 
@@ -100,9 +100,9 @@ def test_refit_mid_run_keeps_fastpath_tiers(monkeypatch):
             after = _fast_path_state(executors[0])
             kept.append(all(map(_same_objects, before, after)))
 
-    def recording_certify(executor, batch, decision, key, *args):
-        template = certify(executor, batch, decision, key, *args)
-        certified.append(CompiledKey.of(key))
+    def recording_certify(executor, batch, key, *args):
+        template = certify(executor, batch, key, *args)
+        certified.append(key.plan)
         return template
 
     monkeypatch.setattr(LifecycleController, "_refit", watched_refit)

@@ -46,9 +46,11 @@ def test_shared_traces_equal_independent_traces(name):
     model = build_model(name)
     structures = [u.structure() for u in model.units]
     assert len(set(structures)) < len(structures)  # some units share
+    layouts = []
     for shape in _SHAPES[model.input_dtype.is_floating]:
         batch = BatchInput(shape, model.input_dtype)
         shared = model.profiles(batch)
+        layouts.append(model.record_layout(batch))
         own = _independent(model.units, batch)
         for unit, p, q in zip(model.units, shared, own):
             assert p.module_name == q.module_name == unit.name
@@ -64,6 +66,9 @@ def test_shared_traces_equal_independent_traces(name):
         # one record tuple per distinct (structure, input spec)
         keys = {(s, p.input) for s, p in zip(structures, shared)}
         assert len({id(p.activations) for p in shared}) == len(keys)
+    # one record layout object at every shape: a compiled template's
+    # layout check never fails on a registered model
+    assert all(layout is layouts[0] for layout in layouts)
 
 
 def _alike_but_for(a: Module, b: Module, spec: tuple[int, ...]) -> None:

@@ -1,8 +1,12 @@
 """Tests for the swap execution path and the Capuchin hybrid planner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.executor import TrainingExecutor
+from repro.experiments.runner import make_planner
+from repro.experiments.tasks import load_task
 from repro.models.base import BatchInput
 from repro.planners.base import (
     ActionAssignment,
@@ -13,7 +17,7 @@ from repro.planners.base import (
 from repro.planners.capuchin import CapuchinPlanner
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
-from repro.tensorsim.device import DeviceModel, DevicePreset
+from repro.tensorsim.device import V100, DeviceModel, DevicePreset
 
 from tests.helpers import GB, MB, make_tiny_model
 
@@ -184,3 +188,14 @@ def test_capuchin_under_unlimited_budget_is_noop():
     planner.setup(ModelView(model))
     d = planner.plan(BatchInput((64, 64), FLOAT32))
     assert d.plan.assignment.is_empty
+
+
+def test_capuchin_prices_transfers_on_the_run_device():
+    """The planner prices a transfer as the run's copy engine times it,
+    not at a default device's link speed."""
+    slow = DeviceModel(replace(V100, pcie_bandwidth=2e9))
+    task = load_task("TC-Bert", iterations=2, seed=0)
+    planner = make_planner("capuchin", 3 * GB, task, device=slow)
+    assert planner.cost_model.transfer_time(100 * MB) == slow.transfer_time(
+        100 * MB
+    )
