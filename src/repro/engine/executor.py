@@ -246,6 +246,9 @@ class TrainingExecutor:
             if compiled:
                 record = self.compiled.serve(self, batch, replay_key)
                 if record is not None:
+                    # a served pass leaves the allocator as it found it
+                    # (a balanced program placed without a new segment),
+                    # so its world replays from now on
                     self.replay.store(replay_key, record)
             if record is not None:
                 return self._serve(iteration, decision, record, compiled)
