@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.engine.compiled import CompiledCache
 from repro.engine.events import (
     CompiledHit, EventBus, IterationEnd, IterationObserved, IterationStart,
@@ -62,10 +60,10 @@ class TrainingExecutor:
             subscriber, :class:`~repro.engine.events.TimelineObserver`).
             An executor with a timeline builds no compiled tier: a
             template evaluation emits no samples.
-        measurement_noise: relative stddev of multiplicative noise on
-            COLLECT-mode measurements, deterministic given ``noise_seed``.
         faults: optional fault-injection plan (or a prebuilt injector),
             deterministic per seed — see :mod:`repro.tensorsim.faults`.
+            It is the run's only perturbation stream: fragmentation
+            spikes, transient allocation failures and measurement noise.
         max_recovery_retries: retry budget per iteration when the planner
             supports recovery (see :meth:`step`); 0 makes any OOM fatal.
         replay: enable the iteration replay cache
@@ -88,8 +86,6 @@ class TrainingExecutor:
         device: Optional[DeviceModel] = None,
         capacity_bytes: Optional[int] = None,
         timeline: Optional[MemoryTimeline] = None,
-        measurement_noise: float = 0.0,
-        noise_seed: int = 0,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         max_recovery_retries: int = 3,
         replay: bool = True,
@@ -101,12 +97,6 @@ class TrainingExecutor:
         capacity = capacity_bytes or self.device.memory_capacity
         self.allocator = CachingAllocator(capacity)
         self.clock = SimClock()
-        if measurement_noise < 0:
-            raise ValueError("measurement_noise must be non-negative")
-        self.measurement_noise = measurement_noise
-        self.noise_rng = (
-            np.random.default_rng(noise_seed) if measurement_noise else None
-        )
         if max_recovery_retries < 0:
             raise ValueError("max_recovery_retries must be non-negative")
         self.max_recovery_retries = max_recovery_retries
@@ -239,7 +229,7 @@ class TrainingExecutor:
             )
         )
         strategy = strategy_for(decision)
-        replay_key = self._replay_key(batch, decision, strategy)
+        replay_key = self._replay_key(batch, decision)
         if replay_key is not None:
             record = self.replay.lookup(replay_key)
             compiled = record is None and self.compiled is not None
@@ -271,24 +261,19 @@ class TrainingExecutor:
         return self._sig_cache
 
     def _replay_key(
-        self,
-        batch: BatchInput,
-        decision: PlanDecision,
-        strategy: ExecutionStrategy,
+        self, batch: BatchInput, decision: PlanDecision
     ) -> Optional[ReplayKey]:
         """The replay fingerprint, or None if the iteration must be
-        simulated because it reads a perturbation stream (a fault window
-        that is not quiet, or COLLECT under measurement noise).  The
-        bypass counter is public contract (see
-        :mod:`repro.engine.replay`)."""
+        simulated because its fault window is not quiet (it reads a
+        perturbation stream).  The bypass counter is public contract
+        (see :mod:`repro.engine.replay`)."""
         cache = self.replay
         if cache is None:
             return None
         # Every mode is keyed, recovery attempts included: a pass that
         # turns out history-dependent (a reactive eviction) is only kept
         # from being recorded.
-        perturbed = self.faults is not None and not self.faults.quiet()
-        if perturbed or not strategy.allows_replay(self):  # e.g. noisy COLLECT
+        if self.faults is not None and not self.faults.quiet():
             cache.bypasses += 1
             return None
         return ReplayCache.key(decision, batch, self._state_signature())

@@ -53,9 +53,8 @@ Never replayed, by construction:
   on replay either — and is recorded and served like a NORMAL one;
 * iterations inside a **fault window** (fragmentation spike, transient
   allocation failure, or measurement noise active) — the pass reads the
-  injector, which its key does not cover;
-* **COLLECT** iterations while measurement noise is configured — the
-  noise RNG stream is stateful and must be consumed by real execution.
+  injector, which its key does not cover.  The fault plan is a run's
+  only perturbation stream, profiling jitter included.
 
 Nothing else makes a record stale, so nothing flushes the cache; only
 the LRU bound retires records.  A record depends on its key alone: a
@@ -146,8 +145,8 @@ class ReplayCache:
         self._records: OrderedDict[ReplayKey, ReplayRecord] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: iterations not keyed because they read a perturbation stream
-        #: (a fault window, or the strategy's veto for noisy COLLECT)
+        #: iterations not keyed because their fault window is not quiet
+        #: (they read a perturbation stream)
         self.bypasses = 0
         #: always 0: records are never flushed (see the module
         #: docstring); kept because the benchmark harness in

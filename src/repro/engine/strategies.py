@@ -43,9 +43,9 @@ Determinism contract: these classes were extracted from the monolithic
 executor under a bit-identical ``RunResult.digest`` constraint
 (``tests/test_executor_pipeline.py``).  Float accumulation is **order
 sensitive** (addition is not associative), so the sequence of
-``IterationContext.charge`` calls, the noise-RNG draws in
-:class:`CollectStrategy`, and the fault-injector consultations in
-``alloc`` must not be reordered casually.
+``IterationContext.charge`` calls and the fault-injector
+consultations (``alloc``'s failures, :class:`CollectStrategy`'s
+measurement noise) must not be reordered casually.
 """
 
 from __future__ import annotations
@@ -439,10 +439,6 @@ class ExecutionStrategy:
     #: recorded for replay nor certified (see engine.replay)
     history_dependent: bool = False
 
-    def allows_replay(self, executor: "TrainingExecutor") -> bool:
-        """Per-executor replay veto (e.g. a stateful noise RNG stream)."""
-        return True
-
     def peak_limit(self, executor: "TrainingExecutor") -> Optional[int]:
         """In-use bytes a pass served at another size must stay within,
         or None when any placed peak is fine."""
@@ -619,28 +615,16 @@ class CollectStrategy(ExecutionStrategy):
         #: measured unit -> its index in ``ctx.measurements``
         self.measured: dict[str, int] = {}
 
-    def allows_replay(self, executor: "TrainingExecutor") -> bool:
-        # the measurement-noise stream is stateful and must advance
-        return executor.noise_rng is None
-
     def run_forward(self, ctx: IterationContext) -> None:
-        noise_rng = ctx.executor.noise_rng
         for ui, unit in enumerate(ctx.model.units):
             rt = self.open_unit(ctx, ui)
             self.forward_compute(ctx, rt)
             if unit.checkpointable:
                 saved = ctx.saved_block_bytes(rt)
-                meas_t = rt.fwd_time
-                if noise_rng is not None:
-                    jitter = 1.0 + noise_rng.normal(
-                        0.0, ctx.executor.measurement_noise, 2
-                    )
-                    saved = max(0, int(saved * max(jitter[0], 0.0)))
-                    meas_t = rt.fwd_time * max(jitter[1], 0.0)
                 if ctx.faults is not None:
                     saved = ctx.faults.perturb_measurement(saved)
                 measurement = UnitMeasurement(
-                    unit.name, ctx.batch.input_size, saved, meas_t
+                    unit.name, ctx.batch.input_size, saved, rt.fwd_time
                 )
                 self.measured[unit.name] = len(ctx.measurements)
                 ctx.measurements.append(measurement)
@@ -664,30 +648,17 @@ class CollectStrategy(ExecutionStrategy):
         # swap overlap windows from — measured execution, not a ratio.
         # The stopwatch is the *simulated* clock charge, never host time
         # (replint's wall-clock rule keeps it that way).
-        noise_rng = ctx.executor.noise_rng
         for rt in reversed(ctx.runtimes):
             self.recompute_if_needed(ctx, rt)
-            bwd_t = rt.bwd_time
-            ctx.charge("bwd", bwd_t, rt.index)
+            ctx.charge("bwd", rt.bwd_time, rt.index)
             i = self.measured.get(rt.name)
             if i is not None:
-                meas_t = bwd_t
-                if noise_rng is not None:
-                    # drawn after every forward-pass jitter of this
-                    # iteration, so the forward noise stream (and every
-                    # pre-extension measurement) is unchanged
-                    meas_t = bwd_t * max(
-                        1.0 + noise_rng.normal(
-                            0.0, ctx.executor.measurement_noise
-                        ),
-                        0.0,
-                    )
                 ctx.measurements[i] = dc_replace(
-                    ctx.measurements[i], bwd_time=meas_t
+                    ctx.measurements[i], bwd_time=rt.bwd_time
                 )
                 if ctx.bus.wants(BackwardMeasured):
                     ctx.bus.emit(
-                        BackwardMeasured(ctx.iteration, rt.name, meas_t)
+                        BackwardMeasured(ctx.iteration, rt.name, rt.bwd_time)
                     )
             ctx.release_unit(rt)
             ctx.emit_unit_backward(rt)

@@ -19,6 +19,7 @@ from repro.planners.dtr import DTRPlanner
 from repro.planners.monet import MonetPlanner
 from repro.planners.none import NoCheckpointPlanner
 from repro.planners.sublinear import SublinearPlanner
+from repro.tensorsim.faults import FaultPlan, MispredictionNoise
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +228,35 @@ def table3_rows(
 # Tables IV and V — memory-estimator regression comparison
 # ---------------------------------------------------------------------------
 
+#: relative stddev of the profiling jitter (timer resolution, allocator
+#: races) on the sheltered measurements: without it the simulated memory
+#: law is exactly quadratic and every regressor's error collapses to
+#: rounding, which the paper's Tables IV/V do not show
+PROFILING_JITTER = 0.003
+
+
 def _collect_samples(
-    task: TaskContext,
-    num_sizes: int,
-    seed: int = 0,
-    measurement_noise: float = 0.003,
+    task: TaskContext, num_sizes: int, seed: int = 0
 ) -> tuple[ShuttlingCollector, dict[int, dict[str, int]]]:
     """Run sheltered iterations over ``num_sizes`` distinct input sizes and
     also produce held-out ground truth for error evaluation.
 
-    ``measurement_noise`` models real profiling jitter (timer resolution,
-    allocator races) at the few-per-mille level — without it the
-    simulated memory law is exactly quadratic and every regressor's error
-    collapses to rounding, which the paper's Tables IV/V do not show.
+    The measurements carry :data:`PROFILING_JITTER`, drawn by the run's
+    fault plan from a stream seeded per (``seed``, iteration).
     """
     model = task.model
     planner = MimosePlanner(
         budget_bytes=64 * GB, collect_iterations=num_sizes
     )
-    planner.collector.min_iterations = num_sizes
     view = ModelView(model)
     planner.setup(view)
     executor = TrainingExecutor(
         model,
         planner,
         capacity_bytes=64 * GB,
-        measurement_noise=measurement_noise,
-        noise_seed=seed,
+        faults=FaultPlan(
+            seed=seed, noise=MispredictionNoise(sigma=PROFILING_JITTER)
+        ),
     )
     seen = 0
     for batch in task.loader:

@@ -276,23 +276,36 @@ def _templates_held_through(task, stream, faults, event):
 
 def test_fault_window_bypasses_compiled_tier():
     """Iterations inside a fault window bypass the compiled tier as they
-    do the replay tier, flush nothing, and stay bit-identical."""
-    faults = FaultPlan.parse("frag:start=20,iters=3,bytes=1G", seed=3)
+    do the replay tier, flush nothing, and stay bit-identical.  The noise
+    window covers every sheltered iteration: a COLLECT pass that reads
+    the measurement-noise stream is never served."""
     task = load_task("TC-Bert", iterations=8, seed=0)
     stream = [b for b in task.loader] * 10
-    with_compiled, executor, held = _templates_held_through(
-        task, stream, faults, 20
-    )
-    without, _ = _run(
-        task, "mimose", 4 * GB, compiled=False, stream=stream, faults=faults
-    )
-    full, _ = _run(
-        task, "mimose", 4 * GB, replay=False, stream=stream, faults=faults
-    )
-    assert with_compiled.digest() == without.digest() == full.digest()
-    assert executor.replay.bypasses == 3
-    assert held
-    assert all(executor.compiled._templates.get(k) is t for k, t in held.items())
+    for spec, window in (
+        ("frag:start=20,iters=3,bytes=1G", 3),
+        ("noise:sigma=0.05,start=1,iters=12", 12),
+    ):
+        faults = FaultPlan.parse(spec, seed=3)
+        with_compiled, executor, held = _templates_held_through(
+            task, stream, faults, 20
+        )
+        without, _ = _run(
+            task, "mimose", 4 * GB, compiled=False, stream=stream,
+            faults=faults,
+        )
+        full, _ = _run(
+            task, "mimose", 4 * GB, replay=False, stream=stream,
+            faults=faults,
+        )
+        assert with_compiled.digest() == without.digest() == full.digest()
+        assert executor.replay.bypasses == window
+        # the ten sheltered passes, all inside the noise window
+        collects = [s.iteration for s in with_compiled.iterations if s.is_collect]
+        assert collects == list(range(1, 11))
+        assert held
+        assert all(
+            executor.compiled._templates.get(k) is t for k, t in held.items()
+        )
 
 
 def test_recovery_retry_is_keyed():

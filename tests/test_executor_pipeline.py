@@ -50,7 +50,6 @@ from repro.planners.base import (
     PlanDecision,
 )
 from repro.planners.dtr import DTRPlanner
-from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
 from repro.tensorsim.faults import FaultPlan
 
@@ -303,22 +302,6 @@ def test_history_dependent_is_a_per_pass_verdict(monkeypatch):
     assert passes[-1].peak_limit(executor) == budget
     assert NormalStrategy().peak_limit(executor) is None
     assert CollectStrategy().peak_limit(executor) is None
-
-
-def test_collect_replay_gated_on_noise_rng():
-    model = make_tiny_model()
-    planner = NoCheckpointPlanner(budget_bytes=1 * GB)
-    quiet = TrainingExecutor(model, planner, capacity_bytes=1 * GB)
-    noisy = TrainingExecutor(
-        make_tiny_model(),
-        NoCheckpointPlanner(budget_bytes=1 * GB),
-        capacity_bytes=1 * GB,
-        measurement_noise=0.01,
-    )
-    strategy = CollectStrategy()
-    assert strategy.allows_replay(quiet)
-    assert not strategy.allows_replay(noisy)
-    assert NormalStrategy().allows_replay(noisy)
 
 
 def test_register_strategy_extends_registry():

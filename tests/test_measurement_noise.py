@@ -1,6 +1,7 @@
 """Measurement-noise robustness: real profiling jitters, the estimator
 must still produce usable predictions (the paper's Table IV/V numbers
-come from noisy GPU measurements)."""
+come from noisy GPU measurements).  The jitter is the fault plan's
+``noise:`` clause, the run's one perturbation stream."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.planners.analysis import unit_saved_bytes
 from repro.planners.base import CheckpointPlan, ExecutionMode, ModelView, PlanDecision
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
+from repro.tensorsim.faults import FaultPlan, MispredictionNoise
 
 from tests.helpers import GB, make_tiny_model
 
@@ -23,7 +25,7 @@ def collect_with_noise(noise, sizes, seed=0, num_units=4):
     planner.setup(ModelView(model))
     ex = TrainingExecutor(
         model, planner, capacity_bytes=8 * GB,
-        measurement_noise=noise, noise_seed=seed,
+        faults=FaultPlan(seed=seed, noise=MispredictionNoise(sigma=noise)),
     )
     collector = ShuttlingCollector(min_iterations=1, min_distinct_sizes=3)
     for rows in sizes:
@@ -99,7 +101,7 @@ def test_mimose_stays_in_budget_under_noise():
     planner.setup(ModelView(model))
     ex = TrainingExecutor(
         model, planner, capacity_bytes=budget,
-        measurement_noise=0.03, noise_seed=11,
+        faults=FaultPlan(seed=11, noise=MispredictionNoise(sigma=0.03)),
     )
     for rows in (512, 1024, 1536, 768, 1400, 1200, 900):
         stats = ex.step(BatchInput((rows, 512), FLOAT32))
@@ -108,10 +110,5 @@ def test_mimose_stays_in_budget_under_noise():
 
 
 def test_negative_noise_rejected():
-    model = make_tiny_model()
-    planner = NoCheckpointPlanner(GB)
-    planner.setup(ModelView(model))
     with pytest.raises(ValueError):
-        TrainingExecutor(
-            model, planner, capacity_bytes=GB, measurement_noise=-0.1
-        )
+        MispredictionNoise(sigma=-0.1)
