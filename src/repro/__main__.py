@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.engine.stats import format_gaps
 from repro.experiments.report import render_table
 from repro.experiments.runner import (
     PLANNER_NAMES,
@@ -192,8 +193,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         }
     ]
     if args.gap_sizes:
-        from repro.experiments.optimality import format_gaps
-
         rows[0]["optimality_gap"] = format_gaps(result.optimality_gaps)
     title = f"{args.task} @ {args.budget_gb:.2f} GB ({args.iterations} iterations)"
     if args.drift_scenario is not None:
@@ -261,8 +260,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "drift_events": r.drift_events,
         }
         if args.gap_sizes:
-            from repro.experiments.optimality import format_gaps
-
             row["optimality_gap"] = format_gaps(r.optimality_gaps)
         rows.append(row)
     title = f"{args.task} sweep"
@@ -280,11 +277,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     Exit 1 if the exact solver reports a nonzero gap against itself —
     the invariant the optimality harness is built on.
     """
-    from repro.experiments.optimality import (
-        fitted_inputs,
-        format_gaps,
-        gap_report,
-    )
+    from repro.experiments.optimality import fitted_inputs, gap_report
 
     inputs = fitted_inputs(args.task, num_sizes=args.sizes, seed=args.seed)
     try:
@@ -296,7 +289,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     rows = [
         {
             "solver": name,
-            "optimality_gap": format_gaps(report[name]) or "—",
+            "optimality_gap": format_gaps(report[name]),
             "cells": len(report[name]),
         }
         for name in SOLVER_NAMES

@@ -194,10 +194,6 @@ class MimosePlanner(Planner):
         """Estimator fits performed (delegated to the lifecycle)."""
         return self.lifecycle.fit_count
 
-    @property
-    def recollect_margin(self) -> float:
-        return self.lifecycle.recollect_margin
-
     def _usable_budget(self) -> int:
         if not self.adaptive_margin:
             return self.budget_bytes - self.headroom_bytes
@@ -331,9 +327,3 @@ class MimosePlanner(Planner):
             planning_time=time.perf_counter() - start,
             recovery_mode=mode,
         )
-
-    # ------------------------------------------------------------ recollect
-
-    def should_recollect(self, size: int) -> bool:
-        """Whether ``size`` lies beyond the trusted extrapolation range."""
-        return self.lifecycle.should_recollect(size)

@@ -501,11 +501,6 @@ class CompiledCache:
         """Plans proven uncertifiable, over every reason."""
         return self.reject_reasons.total()
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def serve(
         self,
         executor: "TrainingExecutor",

@@ -343,13 +343,13 @@ def summarize_runs(runs: Sequence[RunResult]) -> list[dict[str, object]]:
                 "compiled_hit_rate": r.compiled_hit_rate,
                 "refits": r.refits,
                 "drift_events": r.drift_events,
-                "optimality_gap": _format_gaps(r.optimality_gaps),
+                "optimality_gap": format_gaps(r.optimality_gaps),
             }
         )
     return rows
 
 
-def _format_gaps(gaps: dict[int, float]) -> str:
+def format_gaps(gaps: dict[int, float]) -> str:
     """Render per-size gaps compactly: ``"12.5%/0.0%/3.1%"`` by size.
 
     ``"—"`` when no gaps were attached (the default: gap reporting is

@@ -75,13 +75,6 @@ def relative_gap(cost: float, exact_cost: float) -> float:
     return 0.0 if cost <= 0.0 else math.inf
 
 
-def format_gaps(gaps: dict[int, float]) -> str:
-    """Render per-size gaps as ``"12.5%/0.0%/3.1%"`` in size order."""
-    from repro.engine.stats import _format_gaps
-
-    return _format_gaps(gaps)
-
-
 # --------------------------------------------------------------- run results
 
 

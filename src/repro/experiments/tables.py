@@ -10,6 +10,7 @@ from repro.core.estimator import LightningMemoryEstimator
 from repro.core.estimators import make_regressor
 from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
+from repro.engine.stats import format_gaps
 from repro.experiments.runner import run_task
 from repro.experiments.tasks import GB, TaskContext, load_task
 from repro.planners.base import ModelView
@@ -120,7 +121,6 @@ def table1_rows(
         from repro.experiments.optimality import (
             TABLE1_SOLVERS,
             fitted_inputs,
-            format_gaps,
             gap_report,
         )
 
