@@ -20,6 +20,7 @@ from repro.analysis.rules.determinism import DeterminismTaintRule
 from repro.analysis.rules.eventbus import EventBusProtocolRule
 from repro.analysis.rules.guarddominance import GuardDominanceRule
 from repro.analysis.rules.invalidation import InvalidationReachabilityRule
+from repro.analysis.rules.leftfold import LeftFoldRule
 from repro.analysis.rules.lifecycle import LifecycleProtocolRule
 from repro.analysis.rules.modes import ModeBranchingRule
 from repro.analysis.rules.planmembership import PlanMembershipRule
@@ -32,6 +33,7 @@ __all__ = [
     "EventBusProtocolRule",
     "GuardDominanceRule",
     "InvalidationReachabilityRule",
+    "LeftFoldRule",
     "LifecycleProtocolRule",
     "ModeBranchingRule",
     "PlanMembershipRule",

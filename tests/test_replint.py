@@ -351,6 +351,37 @@ def test_units_rule_allows_explicit_conversions():
 
 
 # ---------------------------------------------------------------------------
+# left-fold
+# ---------------------------------------------------------------------------
+
+
+def test_left_fold_rule_flags_builtin_sum_over_times():
+    bad = "def busy(stats):\n    return sum(s.fwd_time for s in stats)\n"
+    assert rule_ids(analyze_sources({"m.py": bad})) == {"left-fold"}
+    # mutation: RunResult.total_time folded with the builtin again
+    path = "src/repro/engine/stats.py"
+    fold = "left_sum(s.total_time for s in self.iterations)"
+    original = (REPO_ROOT / path).read_text()
+    assert original.count(fold) == 1
+    mutated = original.replace(fold, "sum(s.total_time for s in self.iterations)")
+    line = 1 + mutated[: mutated.index("sum(s.total_time")].count("\n")
+    rules = create_rules(select=["left-fold"])
+    assert [f.line for f in analyze_sources({path: mutated}, rules)] == [line]
+    assert analyze_sources({path: original}, rules) == []
+
+
+def test_left_fold_rule_allows_left_sum_and_non_time_sums():
+    clean = (
+        "from repro.tensorsim.clock import left_sum\n"
+        "def totals(stats, blocks):\n"
+        "    busy = left_sum(s.fwd_time for s in stats)\n"
+        "    timed = sum(1 for s in stats if s.fwd_time > 0)\n"
+        "    return busy, timed, sum(b.nbytes for b in blocks)\n"
+    )
+    assert analyze_sources({"m.py": clean}) == []
+
+
+# ---------------------------------------------------------------------------
 # suppression layers: pragma, severity, baseline
 # ---------------------------------------------------------------------------
 
