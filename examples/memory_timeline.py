@@ -8,9 +8,10 @@ forward pass and falls through the backward; checkpointing flattens the
 climb at the cost of recompute bumps on the way down — the geometry every
 planner in the paper is trading against.
 
-The samples come straight off the executor's event bus: a small observer
-subscribes to ``UnitForward``/``UnitBackward`` and records one point per
-unit boundary — the same stream ``MemoryTimeline`` consumes internally.
+The samples come straight off the executor's event bus: a
+``MemoryTimeline`` attached to it records one point per unit boundary
+(``UnitForward``/``UnitBackward``) of every iteration the executor
+simulates.
 
 Usage:
     python examples/memory_timeline.py [--seqlen 256] [--batch 32]
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.engine.events import UnitBackward, UnitForward
 from repro.engine.executor import TrainingExecutor
+from repro.engine.trace import MemoryTimeline
 from repro.models.base import BatchInput
 from repro.models.registry import build_model
 from repro.planners.base import (
@@ -36,26 +37,12 @@ from repro.tensorsim.dtypes import INT64
 GB = 1024**3
 
 
-class CurveObserver:
-    """Event-bus subscriber collecting (time, bytes-in-use) samples."""
-
-    def __init__(self) -> None:
-        self.samples: list[tuple[float, int]] = []
-
-    def attach(self, bus) -> "CurveObserver":
-        bus.subscribe(self, UnitForward, UnitBackward)
-        return self
-
-    def __call__(self, event) -> None:
-        self.samples.append((event.time, event.bytes_in_use))
-
-
-def render_curve(samples, width: int = 64, height: int = 12) -> str:
-    """Tiny ASCII line chart of (time, bytes) samples."""
-    if not samples:
+def render_curve(points, width: int = 64, height: int = 12) -> str:
+    """Tiny ASCII line chart of bytes in use over time."""
+    if not points:
         return "(no samples)"
-    times = [t for t, _ in samples]
-    values = [v for _, v in samples]
+    times = [p.time for p in points]
+    values = [p.bytes_in_use for p in points]
     t0, t1 = min(times), max(times)
     v1 = max(values)
     grid = [[" "] * width for _ in range(height)]
@@ -102,10 +89,10 @@ def main() -> None:
         planner = NoCheckpointPlanner(16 * GB)
         planner.setup(ModelView(model))
         executor = TrainingExecutor(model, planner, capacity_bytes=16 * GB)
-        curve = CurveObserver().attach(executor.events)
+        timeline = MemoryTimeline().attach(executor.events)
         stats = executor.run_iteration(batch, PlanDecision(plan))
         print(f"\n=== {title} ===")
-        print(render_curve(curve.samples))
+        print(render_curve(timeline.points))
         print(
             f"iteration {1e3 * stats.total_time:.0f} ms "
             f"(recompute {1e3 * stats.recompute_time:.0f} ms), "

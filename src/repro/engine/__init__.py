@@ -31,7 +31,6 @@ from repro.engine.events import (
     TensorAlloc,
     TensorEvicted,
     TimeCharged,
-    TimelineObserver,
     UnitBackward,
     UnitForward,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "EventBus",
     "Subscription",
     "EventCounter",
-    "TimelineObserver",
     "IterationStart",
     "IterationEnd",
     "IterationObserved",

@@ -20,8 +20,9 @@ consulted for iterations that produced a :class:`~repro.engine.replay
 and a template is only built from an iteration whose record was stored
 — it round-tripped the allocator signature and never read state outside
 its world (a REACTIVE pass that asked the planner for an eviction victim
-is never recorded).  An executor that records a memory timeline builds
-no compiled tier: an evaluation emits no per-allocation samples.  On top
+is never recorded).  Like a replay hit, an evaluation publishes no
+execution events, so observers (a memory timeline included) see only
+simulated iterations.  On top
 of that the certifier rejects plans it cannot prove size-generic: passes
 that moved bytes over the copy engine (swap-out completion moves frees
 and stalls as the input size changes), iterations that reserve or

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.stats import IterationStats, UnitMeasurement
-    from repro.engine.trace import MemoryTimeline
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,6 @@ class ReplayHit:
     iteration: int
     base_time: float  # simulated clock after the planning charge
     sim_time: float  # recorded simulated duration being replayed
-    points: tuple = ()  # relative timeline samples, see engine.replay
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,60 +353,6 @@ class EventBus:
 # ---------------------------------------------------------------------------
 # Engine-provided observers
 # ---------------------------------------------------------------------------
-
-
-class TimelineObserver:
-    """Feeds a :class:`~repro.engine.trace.MemoryTimeline` from the bus.
-
-    Unit forward and backward events become ``fwd:<unit>`` /
-    ``bwd:<unit>`` samples, and replay hits re-emit the recorded
-    relative samples, exactly as the full simulation would have.  While
-    armed (a simulation whose record the replay cache may store), the
-    same samples are also kept relative to the simulation's start, for
-    :class:`~repro.engine.replay.ReplayRecord.points`.
-    """
-
-    def __init__(self, timeline: MemoryTimeline) -> None:
-        self.timeline = timeline
-        self._base = 0.0
-        self._points: Optional[list] = None
-
-    def attach(self, bus: EventBus) -> "TimelineObserver":
-        bus.subscribe(self, UnitForward, UnitBackward, ReplayHit)
-        return self
-
-    def arm(self, base_time: float) -> None:
-        self._base = base_time
-        self._points = []
-
-    def disarm(self) -> tuple:
-        points = tuple(self._points) if self._points is not None else ()
-        self._points = None
-        return points
-
-    def __call__(self, event: UnitForward | UnitBackward | ReplayHit) -> None:
-        if type(event) is ReplayHit:
-            self.timeline.record_relative(
-                event.base_time, event.iteration, event.points
-            )
-            return
-        phase = (
-            f"fwd:{event.unit}"
-            if type(event) is UnitForward
-            else f"bwd:{event.unit}"
-        )
-        self.timeline.record(
-            event.time,
-            event.bytes_in_use,
-            event.bytes_reserved,
-            phase,
-            event.iteration,
-        )
-        if self._points is not None:
-            self._points.append(
-                (event.time - self._base, event.bytes_in_use,
-                 event.bytes_reserved, phase)
-            )
 
 
 class EventCounter:

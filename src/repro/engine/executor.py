@@ -27,7 +27,7 @@ from typing import Optional, Union
 from repro.engine.compiled import CompiledCache
 from repro.engine.events import (
     CompiledHit, EventBus, IterationEnd, IterationObserved, IterationStart,
-    OomHit, RecoveryRung, ReplayHit, TimelineObserver,
+    OomHit, RecoveryRung, ReplayHit,
 )
 from repro.engine.replay import ReplayCache, ReplayKey, ReplayRecord
 from repro.engine.stats import IterationStats
@@ -35,7 +35,6 @@ from repro.engine.strategies import (
     ExecutionStrategy, IterationContext, StatsBuilder, SwapEngine,
     strategy_for,
 )
-from repro.engine.trace import MemoryTimeline
 from repro.models.base import BatchInput, SegmentedModel
 from repro.planners.base import PlanDecision, Planner
 from repro.tensorsim.allocator import Block, CachingAllocator, OutOfMemoryError
@@ -56,10 +55,6 @@ class TrainingExecutor:
             it to their budget; reactive planners and the baseline use
             physical device memory with the budget enforced logically
             (how DTR's fragmentation overshoot becomes observable, Fig 5).
-        timeline: optional memory timeline recorder (fed by an event-bus
-            subscriber, :class:`~repro.engine.events.TimelineObserver`).
-            An executor with a timeline builds no compiled tier: a
-            template evaluation emits no samples.
         faults: optional fault-injection plan (or a prebuilt injector),
             deterministic per seed — see :mod:`repro.tensorsim.faults`.
             It is the run's only perturbation stream: fragmentation
@@ -72,10 +67,11 @@ class TrainingExecutor:
             (:mod:`repro.engine.compiled`); requires ``replay`` (the
             compiled tier shares replay's eligibility proof and key).
 
-    The tiers are fixed here, once: what varies per iteration is only
-    the world a tier is asked to serve.  Attach observers to
-    :attr:`events`; the timeline's observer, when there is a timeline,
-    registers first.
+    The tiers are fixed here, once, by ``replay`` and ``compiled``
+    alone: what varies per iteration is only the world a tier is asked
+    to serve.  Attach observers, a
+    :class:`~repro.engine.trace.MemoryTimeline` included, to
+    :attr:`events`; they see the iterations the executor simulates.
     """
 
     def __init__(
@@ -85,7 +81,6 @@ class TrainingExecutor:
         *,
         device: Optional[DeviceModel] = None,
         capacity_bytes: Optional[int] = None,
-        timeline: Optional[MemoryTimeline] = None,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         max_recovery_retries: int = 3,
         replay: bool = True,
@@ -105,9 +100,7 @@ class TrainingExecutor:
         )
         self.replay: Optional[ReplayCache] = ReplayCache() if replay else None
         self.compiled: Optional[CompiledCache] = (
-            CompiledCache()
-            if replay and compiled and timeline is None
-            else None
+            CompiledCache() if replay and compiled else None
         )
         self._sig_cache: Optional[tuple] = None
         self._sig_version: Optional[tuple] = None
@@ -116,11 +109,6 @@ class TrainingExecutor:
         self.swap = SwapEngine()
         self._stats = StatsBuilder()
         self.events = EventBus()
-        self._timeline: Optional[TimelineObserver] = (
-            TimelineObserver(timeline).attach(self.events)
-            if timeline is not None
-            else None
-        )
         # A planner exposing a lifecycle controller (MimosePlanner)
         # publishes its lifecycle and drift events on this bus.
         lifecycle = getattr(planner, "lifecycle", None)
@@ -294,11 +282,8 @@ class TrainingExecutor:
                     CompiledHit(iteration, self.clock.now, record.sim_time)
                 )
         elif self.events.wants(ReplayHit):
-            # the TimelineObserver re-emits the recorded samples
             self.events.emit(
-                ReplayHit(
-                    iteration, self.clock.now, record.sim_time, record.points
-                )
+                ReplayHit(iteration, self.clock.now, record.sim_time)
             )
         self.clock.advance(record.sim_time)
         stats = record.materialize(iteration, decision)
@@ -318,10 +303,6 @@ class TrainingExecutor:
         self.swap.reset()
         self.clock.advance(decision.planning_time)
         sim_start = self.clock.now
-        # the timeline's samples are kept only for a replay record
-        recorder = self._timeline if replay_key is not None else None
-        if recorder is not None:
-            recorder.arm(sim_start)
         ctx = IterationContext(
             executor=self,
             decision=decision,
@@ -362,7 +343,6 @@ class TrainingExecutor:
             ops, alloc.op_log = alloc.op_log, None
         if fault_block is not None:
             alloc.free(fault_block)
-        points = recorder.disarm() if recorder is not None else ()
         stats = self._stats.finalize(ctx, oom)
         self.events.emit(IterationEnd(stats))
         if oom:
@@ -378,7 +358,6 @@ class TrainingExecutor:
             record = ReplayRecord(
                 stats=replace(stats, planning_time=0.0),
                 sim_time=self.clock.now - sim_start,
-                points=points,
             )
             self.replay.store(replay_key, record)
             if self.compiled is not None:

@@ -27,19 +27,15 @@ the plan key alone: the shape and the signature are inputs of a
 template's evaluation, and the record an evaluation returns is stored
 here under the whole key.
 
-Whether a memory timeline records is not part of the key: it is fixed
-per executor, and each executor owns its cache.  A timeline executor
-builds no compiled tier, so each of its records comes from a full
-simulation and carries the samples its replays re-emit.
-
 A record is stored only for iterations that (a) completed without OOM,
 (b) left the allocator in exactly the state they found it (steady state)
 and (c) read nothing outside their world — so serving the record and
 skipping execution leaves the world in the same state full simulation
 would have.  On a hit the executor replays the
-recorded :class:`~repro.engine.stats.IterationStats` and (optionally) the
-memory-timeline deltas, advancing the simulated clock by the recorded
-iteration time.
+recorded :class:`~repro.engine.stats.IterationStats`, advancing the
+simulated clock by the recorded iteration time.  A served iteration
+publishes no execution events, so observers (a memory timeline
+included) see only the iterations that are simulated.
 
 Never replayed, by construction:
 
@@ -116,13 +112,11 @@ class ReplayRecord:
 
     ``stats`` is stored with ``planning_time`` zeroed, and with the
     iteration number and predicted peak of the pass that made the record;
-    all three are patched at replay time.  ``points`` are memory-timeline
-    samples relative to the post-planning clock.
+    all three are patched at replay time.
     """
 
     stats: IterationStats
     sim_time: float  # simulated seconds excluding the decision's planning
-    points: tuple[tuple[float, int, int, str], ...] = ()
 
     def materialize(
         self, iteration: int, decision: PlanDecision

@@ -1,8 +1,10 @@
-"""Memory timeline recording (memory-in-use sampled at phase boundaries)."""
+"""Memory timeline recording (memory-in-use sampled at unit boundaries)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.engine.events import EventBus, UnitBackward, UnitForward
 
 
 @dataclass(frozen=True, slots=True)
@@ -12,7 +14,7 @@ class TimelinePoint:
     time: float  # simulated seconds since executor construction
     bytes_in_use: int
     bytes_reserved: int
-    phase: str  # e.g. "fwd:encoder.3", "bwd:encoder.3", "recompute:encoder.3"
+    phase: str  # "fwd:<unit>" or "bwd:<unit>", e.g. "bwd:encoder.3"
     iteration: int
 
 
@@ -20,12 +22,31 @@ class TimelinePoint:
 class MemoryTimeline:
     """Append-only sequence of :class:`TimelinePoint`s.
 
-    Used by the examples and by Fig 4-style plots; recording is optional
-    because long sweeps (Fig 10) do not need per-phase samples.  An
-    executor given a timeline records into it for its whole life.
+    An ordinary event-bus observer (``examples/memory_timeline.py``
+    plots one)::
+
+        timeline = MemoryTimeline().attach(executor.events)
+
+    It samples each unit boundary of the iterations the executor
+    simulates.  An iteration served from a fast tier adds no samples,
+    so a timeline of every iteration needs ``replay=False``.
     """
 
     points: list[TimelinePoint] = field(default_factory=list)
+
+    def attach(self, bus: EventBus) -> "MemoryTimeline":
+        bus.subscribe(self, UnitForward, UnitBackward)
+        return self
+
+    def __call__(self, event: UnitForward | UnitBackward) -> None:
+        phase = "fwd:" if type(event) is UnitForward else "bwd:"
+        self.record(
+            event.time,
+            event.bytes_in_use,
+            event.bytes_reserved,
+            phase + event.unit,
+            event.iteration,
+        )
 
     def record(
         self,
@@ -52,15 +73,3 @@ class MemoryTimeline:
 
     def clear(self) -> None:
         self.points.clear()
-
-    # ------------------------------------------------------------- replay API
-
-    def record_relative(
-        self,
-        base_time: float,
-        iteration: int,
-        rel_points: tuple[tuple[float, int, int, str], ...],
-    ) -> None:
-        """Append recorded relative points shifted onto ``base_time``."""
-        for dt, in_use, reserved, phase in rel_points:
-            self.record(base_time + dt, in_use, reserved, phase, iteration)

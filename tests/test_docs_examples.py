@@ -1,6 +1,7 @@
 """The documentation must not rot: every Python block in
 docs/walkthrough.md executes, every example script parses and shows
---help without crashing, and the drift example runs end to end."""
+--help without crashing, and the drift and memory-timeline examples run
+end to end."""
 
 import pathlib
 import re
@@ -53,16 +54,24 @@ def test_example_scripts_show_help(script):
     assert "usage" in proc.stdout.lower()
 
 
-def test_drift_example_runs_end_to_end():
-    """The drift example asserts at least one online refit itself."""
+@pytest.mark.parametrize("script,marker", [
+    pytest.param("drift_replanning.py", "online refits",
+                 id="drift_replanning.py"),
+    pytest.param("memory_timeline.py", "peak", id="memory_timeline.py"),
+])
+def test_example_runs_end_to_end(script, marker):
+    """The drift example asserts at least one online refit itself; the
+    timeline example draws one curve per plan."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "examples" / "drift_replanning.py")],
+        [sys.executable, str(ROOT / "examples" / script)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "online refits" in proc.stdout
+    assert marker in proc.stdout
+    if script == "memory_timeline.py":
+        assert proc.stdout.count("\n=== ") == 3
 
 
 def test_examples_exist():

@@ -173,7 +173,8 @@ def test_timeline_records_phases():
     model = make_tiny_model(num_units=3)
     planner = NoCheckpointPlanner(4 * GB)
     planner.setup(ModelView(model))
-    ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB, timeline=timeline)
+    ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
+    timeline.attach(ex.events)
     ex.run_iteration(batch(), PlanDecision(CheckpointPlan.none()))
     phases = [p.phase for p in timeline.points]
     assert "fwd:unit.0" in phases

@@ -39,6 +39,7 @@ from repro.engine.strategies import (
     register_strategy,
     strategy_for,
 )
+from repro.engine.trace import MemoryTimeline
 from repro.experiments.runner import run_task, sweep
 from repro.experiments.tasks import GB, load_task
 from repro.models.base import BatchInput
@@ -121,8 +122,9 @@ def test_digest_parity_serial_vs_parallel():
 
 
 def test_observers_do_not_perturb_digest():
-    """The bus is observe-only: attaching subscribers changes nothing,
-    and neither does a bus with none, even the engine's own."""
+    """The bus is observe-only: attaching subscribers, a memory timeline
+    included, changes nothing, and neither does a bus with none, even
+    the engine's own."""
     task = load_task("TC-Bert", iterations=10, seed=0)
     plain = run_task(task, "mimose", int(4 * GB), max_iterations=10)
     task = load_task("TC-Bert", iterations=10, seed=0)
@@ -139,7 +141,8 @@ def test_observers_do_not_perturb_digest():
     assert counter.counts["IterationEnd"] == 10
 
     # Fault windows, refits and drift: swapping the executor's bus for an
-    # empty one must leave a faulted, drifting Mimose run as it was.
+    # empty one, or observing every event, must leave a faulted, drifting
+    # Mimose run and its tier split as they were.
     def drifting_run(observers=()):
         return run_task(
             load_task("TC-Bert", iterations=40, seed=0,
@@ -162,6 +165,21 @@ def test_observers_do_not_perturb_digest():
     assert (bare.refits, bare.drift_events) == (
         plain.refits, plain.drift_events
     )
+    counter, timeline = EventCounter(), MemoryTimeline()
+    observed = drifting_run(observers=[
+        lambda ex: counter.attach(ex.events),
+        lambda ex: timeline.attach(ex.events),
+    ])
+    assert observed.digest() == plain.digest()
+    kept = (
+        "refits", "drift_events", "total_retries", "replay_hits",
+        "replay_misses", "compiled_hits", "compiled_misses",
+    )
+    assert [getattr(observed, k) for k in kept] == [
+        getattr(plain, k) for k in kept
+    ]
+    assert plain.replay_hits and plain.compiled_hits
+    assert counter.counts["IterationEnd"] >= 40 and timeline.points
 
 
 # ------------------------------------------------------------------ event bus

@@ -2,11 +2,13 @@
 
 import builtins
 import math
+import pathlib
 
 import pytest
 
 from repro.engine.stats import IterationStats, RunResult, summarize_runs
 from repro.experiments import tables
+from repro.experiments.report import render_table
 from repro.experiments.runner import PLANNER_NAMES, make_planner, run_task, sweep
 from repro.experiments.tasks import GB, TASKS, load_task
 from repro.tensorsim.faults import FaultPlan
@@ -126,6 +128,43 @@ def test_table3_counts_the_plans_recovery_generates(monkeypatch):
     assert planner.recovery_attempts > 0
     assert row["plans_generated"] == planner.plan_count
     assert planner.plan_count > planner.cache.misses
+
+
+RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+def _columns(text, names):
+    """The named columns of a ``render_table`` table, one tuple per row."""
+    lines = text.splitlines()
+    sep = next(i for i, line in enumerate(lines) if "-+-" in line)
+    header = [c.strip() for c in lines[sep - 1].split("|")]
+    picks = [header.index(n) for n in names]
+    rows = [[c.strip() for c in line.split("|")] for line in lines[sep + 1:]]
+    return [tuple(row[i] for i in picks) for row in rows]
+
+
+@pytest.mark.parametrize("artifact,key,rows", [
+    pytest.param(
+        "table4_regressors.txt",
+        "regressor",
+        # the two gbt rows would add ~4 s of boosting fits
+        lambda: tables.table4_rows(regressors=(
+            ("poly1", 10), ("poly2", 10), ("poly3", 10),
+            ("svr", 10), ("svr", 50), ("tree", 10), ("tree", 50),
+        )),
+        id="table4",
+    ),
+    pytest.param(
+        "table5_quadratic.txt", "task", tables.table5_rows, id="table5"
+    ),
+])
+def test_committed_table_errors_match_their_generators(artifact, key, rows):
+    """The committed Table IV/V artifacts hold the error figures their
+    generators give now; host-timing columns are not compared."""
+    names = [key, "num_samples", "error_pct"]
+    committed = _columns((RESULTS / artifact).read_text(), names)
+    expected = [row for row in committed if row[0] != "gbt"]
+    assert _columns(render_table(rows()), names) == expected
 
 
 def test_planner_capacity_contract():

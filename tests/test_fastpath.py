@@ -41,11 +41,12 @@ def _run(task, planner_name, budget, *, replay, timeline=None, faults=None,
             if not planner.requires_physical_capacity
             else 32 * GB
         ),
-        timeline=timeline,
         replay=replay,
         faults=faults.build() if faults is not None else None,
         max_recovery_retries=max_retries,
     )
+    if timeline is not None:
+        timeline.attach(executor.events)
     result = RunResult(task.spec.abbr, planner_name, budget)
     for batch in task.loader:
         result.append(executor.step(batch))
@@ -78,24 +79,30 @@ def test_replay_equivalence(task_abbr, planner_name, budget_gb, seed):
         )
 
 
-def test_replay_equivalence_timeline():
-    """Replayed iterations re-emit identical memory-timeline samples."""
+def test_timeline_samples_the_simulated_iterations():
+    """A timeline is an ordinary observer: it samples the iterations the
+    executor simulates, and those samples are full simulation's."""
     task = load_task("TC-Bert", iterations=40, seed=0)
     budget = 4 * GB
-    tl_full, tl_replay = MemoryTimeline(), MemoryTimeline()
+    tl_full, tl_served = MemoryTimeline(), MemoryTimeline()
     _run(task, "mimose", budget, replay=False, timeline=tl_full)
-    _, executor = _run(task, "mimose", budget, replay=True, timeline=tl_replay)
-    assert executor.replay.hits > 0  # the fast path actually ran
+    _, executor = _run(task, "mimose", budget, replay=True, timeline=tl_served)
+    served = executor.replay.hits + executor.compiled.hits
+    assert executor.replay.hits > 0 and executor.compiled.hits > 0
+    assert {p.iteration for p in tl_full.points} == set(range(1, 41))
+    sampled = {p.iteration for p in tl_served.points}
+    assert len(sampled) == 40 - served
+
     # absolute times accumulate wall-clock planning_time and are not
     # comparable between runs; everything else must match exactly
-    def shape(tl):
+    def shape(tl, iterations):
         return [
             (p.iteration, p.phase, p.bytes_in_use, p.bytes_reserved)
             for p in tl.points
+            if p.iteration in iterations
         ]
 
-    assert shape(tl_replay) == shape(tl_full)
-    assert tl_replay.peak_by_iteration() == tl_full.peak_by_iteration()
+    assert shape(tl_served, sampled) == shape(tl_full, sampled)
 
 
 def test_replay_gets_hits_on_recurring_shapes():
