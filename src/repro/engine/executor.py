@@ -71,7 +71,8 @@ class TrainingExecutor:
     alone: what varies per iteration is only the world a tier is asked
     to serve.  Attach observers, a
     :class:`~repro.engine.trace.MemoryTimeline` included, to
-    :attr:`events`; they see the iterations the executor simulates.
+    :attr:`events`; execution events come only from the iterations the
+    executor simulates.
     """
 
     def __init__(
