@@ -16,7 +16,8 @@ template evaluation instead of a full tensor-level simulation::
 
 **Eligibility** is exactly the replay proof: the compiled tier is only
 consulted for iterations that produced a :class:`~repro.engine.replay
-.ReplayKey` (so fault windows and noisy COLLECT passes never reach it),
+.ReplayKey` (so a pass whose allocator a fault perturbs never reaches
+it; measurement noise is applied after the pass, to the served stats),
 and a template is only built from an iteration whose record was stored
 — it round-tripped the allocator signature and never read state outside
 its world (a REACTIVE pass that asked the planner for an eviction victim

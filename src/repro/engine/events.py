@@ -98,7 +98,13 @@ class TimeCharged:
 
 @dataclass(frozen=True, slots=True)
 class MeasurementTaken:
-    """The shuttling collector measured one unit (COLLECT mode)."""
+    """The shuttling collector measured one unit (COLLECT mode).
+
+    ``measurement`` is the simulated one: measurement noise, if a fault
+    plan injects it, is applied after the pass, to the measurements the
+    planner observes (:meth:`~repro.engine.executor.TrainingExecutor
+    .run_iteration`).
+    """
 
     iteration: int
     measurement: "UnitMeasurement"

@@ -13,7 +13,7 @@ calls.  One iteration runs as::
     plan → arm fault window → (record lookup: replay, then compiled)
          → strategy.begin → input alloc → strategy.run_forward
          → strategy.run_backward → optimizer → stats finalize
-         → (replay-record store) → planner.observe
+         → (replay-record store) → measurement noise → planner.observe
 
 Modelling deviations from a real runtime are documented in
 :mod:`repro.engine.strategies`.
@@ -204,13 +204,16 @@ class TrainingExecutor:
         cache then stores.  Either record is served alike, without
         touching the allocator.  Otherwise simulate in full and — if the
         allocator round-trips — record, and certify a template from the
-        recorded pass.
+        recorded pass.  Measurement noise then corrupts the measurements
+        the planner observes, served or simulated alike; records and
+        templates keep the simulated ones.
         """
         self._iteration += 1
         iteration = self._iteration
-        if self.faults is not None:
+        faults = self.faults
+        if faults is not None:
             # before replay eligibility reads ``faults.quiet()``
-            self.faults.begin_iteration(iteration)
+            faults.begin_iteration(iteration)
         self.events.emit(
             IterationStart(
                 iteration, decision.mode.value,
@@ -219,6 +222,8 @@ class TrainingExecutor:
         )
         strategy = strategy_for(decision)
         replay_key = self._replay_key(batch, decision)
+        record = None
+        compiled = False
         if replay_key is not None:
             record = self.replay.lookup(replay_key)
             compiled = record is None and self.compiled is not None
@@ -229,9 +234,21 @@ class TrainingExecutor:
                     # (a balanced program placed without a new segment),
                     # so its world replays from now on
                     self.replay.store(replay_key, record)
-            if record is not None:
-                return self._serve(iteration, decision, record, compiled)
-        return self._simulate(batch, decision, iteration, strategy, replay_key)
+        if record is not None:
+            stats = self._serve(iteration, decision, record, compiled)
+        else:
+            stats = self._simulate(
+                batch, decision, iteration, strategy, replay_key
+            )
+        if faults is not None and stats.measurements:
+            # one draw per measurement, in unit order, from the
+            # iteration's own noise stream
+            stats = replace(stats, measurements=tuple(
+                replace(m, saved_bytes=faults.perturb_measurement(m.saved_bytes))
+                for m in stats.measurements
+            ))
+        self.events.emit(IterationEnd(stats))
+        return stats
 
     def _state_signature(self) -> tuple:
         """The allocator signature, cached until the allocator mutates.
@@ -253,9 +270,9 @@ class TrainingExecutor:
         self, batch: BatchInput, decision: PlanDecision
     ) -> Optional[ReplayKey]:
         """The replay fingerprint, or None if the iteration must be
-        simulated because its fault window is not quiet (it reads a
-        perturbation stream).  The bypass counter is public contract
-        (see :mod:`repro.engine.replay`)."""
+        simulated because a fault perturbs its allocator (a fragmentation
+        spike or a pending transient failure).  The bypass counter is
+        public contract (see :mod:`repro.engine.replay`)."""
         cache = self.replay
         if cache is None:
             return None
@@ -287,9 +304,7 @@ class TrainingExecutor:
                 ReplayHit(iteration, self.clock.now, record.sim_time)
             )
         self.clock.advance(record.sim_time)
-        stats = record.materialize(iteration, decision)
-        self.events.emit(IterationEnd(stats))
-        return stats
+        return record.materialize(iteration, decision)
 
     def _simulate(
         self,
@@ -345,7 +360,6 @@ class TrainingExecutor:
         if fault_block is not None:
             alloc.free(fault_block)
         stats = self._stats.finalize(ctx, oom)
-        self.events.emit(IterationEnd(stats))
         if oom:
             return stats
         if (

@@ -47,10 +47,14 @@ Never replayed, by construction:
   that never asks depends only on its world — the same world makes the
   same allocations, which meet the same budget checks, so it never asks
   on replay either — and is recorded and served like a NORMAL one;
-* iterations inside a **fault window** (fragmentation spike, transient
-  allocation failure, or measurement noise active) — the pass reads the
-  injector, which its key does not cover.  The fault plan is a run's
-  only perturbation stream, profiling jitter included.
+* iterations inside a **fault window** that perturbs the allocator
+  (fragmentation spike, or pending transient allocation failure) — the
+  pass reads the injector, which its key does not cover.  Measurement
+  noise is not such a window: the executor applies it to the
+  measurements the planner observes, after the pass, so a noisy
+  iteration is keyed, served and recorded like any other, and records
+  keep the simulated measurements.  The fault plan is a run's only
+  perturbation stream, profiling jitter included.
 
 Nothing else makes a record stale, so nothing flushes the cache; only
 the LRU bound retires records.  A record depends on its key alone: a

@@ -43,9 +43,10 @@ Determinism contract: these classes were extracted from the monolithic
 executor under a bit-identical ``RunResult.digest`` constraint
 (``tests/test_executor_pipeline.py``).  Float accumulation is **order
 sensitive** (addition is not associative), so the sequence of
-``IterationContext.charge`` calls and the fault-injector
-consultations (``alloc``'s failures, :class:`CollectStrategy`'s
-measurement noise) must not be reordered casually.
+``IterationContext.charge`` calls and of ``alloc``'s fault-injector
+consultations must not be reordered casually.  Measurement noise is not
+drawn here: the executor perturbs a pass's measurements after it, in
+measurement order.
 """
 
 from __future__ import annotations
@@ -620,11 +621,9 @@ class CollectStrategy(ExecutionStrategy):
             rt = self.open_unit(ctx, ui)
             self.forward_compute(ctx, rt)
             if unit.checkpointable:
-                saved = ctx.saved_block_bytes(rt)
-                if ctx.faults is not None:
-                    saved = ctx.faults.perturb_measurement(saved)
                 measurement = UnitMeasurement(
-                    unit.name, ctx.batch.input_size, saved, rt.fwd_time
+                    unit.name, ctx.batch.input_size,
+                    ctx.saved_block_bytes(rt), rt.fwd_time,
                 )
                 self.measured[unit.name] = len(ctx.measurements)
                 ctx.measurements.append(measurement)

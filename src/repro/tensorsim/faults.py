@@ -297,18 +297,15 @@ class FaultInjector:
         return self._phantom
 
     def quiet(self) -> bool:
-        """Whether the current iteration attempt is fault-free.
+        """Whether the current iteration attempt's allocator is unperturbed.
 
-        True means no fragmentation spike, no pending transient failure
-        and no measurement noise are active — the iteration's world is
-        exactly what a fault-free run would see, so the executor's replay
-        cache may serve or record it.
+        True means no fragmentation spike and no pending transient
+        failure — the pass meets exactly the allocator a fault-free run
+        would, so the executor's replay cache may serve or record it.
+        Measurement noise never touches the pass: the executor applies it
+        to the measurements the planner observes, after the pass.
         """
-        return (
-            self._phantom == 0
-            and self._fail_remaining <= 0
-            and self._noise_rng is None
-        )
+        return self._phantom == 0 and self._fail_remaining <= 0
 
     def should_fail(self, request_bytes: int) -> bool:
         """Whether this allocation suffers an injected transient failure."""
@@ -321,7 +318,8 @@ class FaultInjector:
         return True
 
     def perturb_measurement(self, value: int) -> int:
-        """Corrupt one COLLECT-mode memory measurement (bytes)."""
+        """Corrupt one COLLECT-mode memory measurement (bytes) the planner
+        observes; the executor calls it once per measurement, in order."""
         if self._noise_rng is None:
             return value
         noise = self.plan.noise

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.data.datasets import DRIFT_SCENARIOS
 from repro.engine import compiled as compiled_mod
 from repro.engine import replay as replay_mod
-from repro.engine.events import TimeCharged
+from repro.engine.events import CompiledHit, TimeCharged
 from repro.engine.executor import TrainingExecutor
 from repro.engine.replay import ReplayCache
 from repro.engine.stats import RunResult, summarize_runs
@@ -42,7 +42,7 @@ from tests.helpers_digest_grid import (
 
 
 def _run(task, planner_name, budget, *, compiled=True, replay=True,
-         stream=None, faults=None, max_retries=3, timeline=None):
+         stream=None, faults=None, max_retries=3, observer=None):
     model = task.model
     planner = make_planner(planner_name, budget, task)
     planner.setup(ModelView(model))
@@ -57,8 +57,8 @@ def _run(task, planner_name, budget, *, compiled=True, replay=True,
         faults=faults.build() if faults is not None else None,
         max_recovery_retries=max_retries,
     )
-    if timeline is not None:
-        timeline.attach(executor.events)
+    if observer is not None:
+        observer.attach(executor.events)
     result = RunResult(task.spec.abbr, planner_name, budget)
     for batch in (stream if stream is not None else task.loader):
         result.append(executor.step(batch))
@@ -276,37 +276,71 @@ def _templates_held_through(task, stream, faults, event):
 
 
 def test_fault_window_bypasses_compiled_tier():
-    """Iterations inside a fault window bypass the compiled tier as they
-    do the replay tier, flush nothing, and stay bit-identical.  The noise
-    window covers every sheltered iteration: a COLLECT pass that reads
-    the measurement-noise stream is never served."""
+    """Iterations inside a fault window that perturbs the allocator (a
+    fragmentation spike) bypass the compiled tier as they do the replay
+    tier, flush nothing, and stay bit-identical."""
     task = load_task("TC-Bert", iterations=8, seed=0)
     stream = [b for b in task.loader] * 10
-    for spec, window in (
-        ("frag:start=20,iters=3,bytes=1G", 3),
-        ("noise:sigma=0.05,start=1,iters=12", 12),
-    ):
-        faults = FaultPlan.parse(spec, seed=3)
-        with_compiled, executor, held = _templates_held_through(
-            task, stream, faults, 20
+    faults = FaultPlan.parse("frag:start=20,iters=3,bytes=1G", seed=3)
+    with_compiled, executor, held = _templates_held_through(
+        task, stream, faults, 20
+    )
+    without, _ = _run(
+        task, "mimose", 4 * GB, compiled=False, stream=stream, faults=faults
+    )
+    full, _ = _run(
+        task, "mimose", 4 * GB, replay=False, stream=stream, faults=faults
+    )
+    assert with_compiled.digest() == without.digest() == full.digest()
+    assert executor.replay.bypasses == 3
+    collects = [s.iteration for s in with_compiled.iterations if s.is_collect]
+    assert collects == list(range(1, 11))
+    assert held
+    assert all(
+        executor.compiled._templates.get(k) is t for k, t in held.items()
+    )
+
+
+class _CompiledHitLog:
+    """Observer: the iterations the compiled tier served, in order."""
+
+    def __init__(self):
+        self.iterations = []
+
+    def attach(self, bus):
+        bus.subscribe(
+            lambda event: self.iterations.append(event.iteration), CompiledHit
         )
-        without, _ = _run(
-            task, "mimose", 4 * GB, compiled=False, stream=stream,
-            faults=faults,
-        )
-        full, _ = _run(
-            task, "mimose", 4 * GB, replay=False, stream=stream,
-            faults=faults,
-        )
-        assert with_compiled.digest() == without.digest() == full.digest()
-        assert executor.replay.bypasses == window
-        # the ten sheltered passes, all inside the noise window
-        collects = [s.iteration for s in with_compiled.iterations if s.is_collect]
-        assert collects == list(range(1, 11))
-        assert held
-        assert all(
-            executor.compiled._templates.get(k) is t for k, t in held.items()
-        )
+
+
+def test_noise_window_is_served():
+    """Measurement noise perturbs no allocator: the executor corrupts the
+    measurements the planner observes after the pass, so iterations in a
+    noise window are keyed and served like any other, with the same draws
+    as full simulation.  The window covers every sheltered pass."""
+    task = load_task("TC-Bert", iterations=8, seed=0)
+    stream = [b for b in task.loader] * 10
+    faults = FaultPlan.parse("noise:sigma=0.05,start=1,iters=12", seed=3)
+    hits = _CompiledHitLog()
+    served, executor = _run(
+        task, "mimose", 4 * GB, stream=stream, faults=faults, observer=hits
+    )
+    without, without_executor = _run(
+        task, "mimose", 4 * GB, compiled=False, stream=stream, faults=faults
+    )
+    full, full_executor = _run(
+        task, "mimose", 4 * GB, replay=False, stream=stream, faults=faults
+    )
+    assert served.digest() == without.digest() == full.digest()
+    assert executor.replay.bypasses == 0
+    collects = [s.iteration for s in served.iterations if s.is_collect]
+    assert collects == list(range(1, 11))
+    assert any(i <= 12 for i in hits.iterations)
+    perturbed = {
+        ex.faults.stats.perturbed_measurements
+        for ex in (executor, without_executor, full_executor)
+    }
+    assert len(perturbed) == 1 and perturbed.pop() > 0
 
 
 def test_recovery_retry_is_keyed():
@@ -569,7 +603,7 @@ def test_timeline_run_takes_the_tiers_of_an_unobserved_run():
     plain, unobserved = _run(task, "mimose", 4 * GB, stream=stream)
     timeline = MemoryTimeline()
     traced, executor = _run(
-        task, "mimose", 4 * GB, stream=stream, timeline=timeline
+        task, "mimose", 4 * GB, stream=stream, observer=timeline
     )
     assert traced.digest() == plain.digest()
     replay_tiers = ("hits", "misses", "bypasses")
