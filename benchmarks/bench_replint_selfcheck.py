@@ -32,8 +32,8 @@ def _self_check() -> int:
     files = discover_files([REPO_ROOT / "src"], REPO_ROOT)
     contexts = load_contexts(files, REPO_ROOT)
     findings = analyze_contexts(contexts, rules)
-    # the repo ships clean (empty baseline); a finding here means the
-    # benchmark is measuring a broken tree, not a slow one
+    # the repo ships clean; a finding here means the benchmark is
+    # measuring a broken tree, not a slow one
     assert findings == [], [f.location() for f in findings]
     return len(contexts)
 

@@ -1,7 +1,7 @@
 """The ``replint`` command line (``python -m repro.analysis``).
 
-Exit codes: 0 clean (or warnings only), 1 at least one non-baselined
-error finding, 2 usage/configuration error.
+Exit codes: 0 no finding, 1 at least one finding, 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis import rules as _rules  # noqa: F401  (registers rules)
-from repro.analysis.baseline import (
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.config import ReplintConfig, load_config
 from repro.analysis.core import (
     ConfigError,
@@ -68,21 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: ./pyproject.toml)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="baseline file (default: [tool.replint] baseline key)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--select",
         help="comma-separated rule ids to run (default: all)",
     )
@@ -122,46 +101,16 @@ def _run(args: argparse.Namespace) -> int:
         raise ConfigError(f"no python files found under {paths}")
     contexts = load_contexts(files, root)
     findings = analyze_contexts(contexts, rules)
-
-    baseline_path = args.baseline
-    if baseline_path is None and config.baseline:
-        baseline_path = root / config.baseline
-    entries = (
-        load_baseline(baseline_path)
-        if baseline_path and not args.no_baseline
-        else []
-    )
-
-    if args.update_baseline:
-        if baseline_path is None:
-            raise ConfigError(
-                "--update-baseline needs a baseline path "
-                "(--baseline or [tool.replint] baseline)"
-            )
-        written = write_baseline(baseline_path, findings, previous=entries)
-        print(
-            f"replint: wrote {written} suppression(s) to {baseline_path}"
-        )
-        return 0
-
-    result: BaselineResult = apply_baseline(findings, entries)
     if args.format == "json":
-        report = render_json(
-            result.fresh, suppressed=result.suppressed, stale=result.stale
-        )
+        report = render_json(findings)
     elif args.format == "sarif":
-        report = render_sarif(result.fresh, rules=registered_rules())
+        report = render_sarif(findings, rules=registered_rules())
     else:
-        report = render_text(
-            result.fresh,
-            suppressed_count=len(result.suppressed),
-            stale=result.stale,
-        )
+        report = render_text(findings)
     print(report)
     if args.output:
         args.output.write_text(report + "\n")
-    has_errors = any(f.severity == "error" for f in result.fresh)
-    return 1 if has_errors else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

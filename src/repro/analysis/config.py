@@ -32,12 +32,11 @@ except ImportError:  # pragma: no cover - exercised only on 3.10
 class ReplintConfig:
     """Resolved analyzer configuration.
 
-    ``rules`` maps rule id → its option table (severity, allow globs,
+    ``rules`` maps rule id → its option table (allow globs,
     rule-specific keys), passed verbatim to ``Rule.configure``.
     """
 
     paths: tuple[str, ...] = ("src",)
-    baseline: Optional[str] = "replint-baseline.json"
     rules: dict[str, dict] = field(default_factory=dict)
     root: Path = field(default_factory=Path.cwd)
 
@@ -51,9 +50,6 @@ class ReplintConfig:
             if isinstance(paths, str):
                 paths = [paths]
             cfg.paths = tuple(str(p) for p in paths)
-        if "baseline" in data:
-            baseline = data["baseline"]
-            cfg.baseline = str(baseline) if baseline else None
         rules = data.get("rules", {})
         if not isinstance(rules, Mapping):
             raise ConfigError("[tool.replint.rules] must be a table")

@@ -12,39 +12,26 @@ dataclass is *defined* in ``engine/events.py`` but *emitted* from
 ``engine/strategies.py``, so the event-bus rule first collects every
 emitted/subscribed class name project-wide, then checks definitions.
 
-Suppression layers (outermost wins):
-
-* per-rule ``allow`` path globs in ``[tool.replint.rules.<id>]`` — for
-  whole files that are the sanctioned home of an otherwise-banned
-  construct (e.g. the estimator's ``perf_counter`` measurement);
-* inline ``# replint: ignore[rule-id]`` pragmas on the flagged line;
-* the baseline file, for grandfathered findings (see
-  :mod:`repro.analysis.baseline`).
+The one way to exempt code is a reviewed ``allow`` path glob in
+``[tool.replint.rules.<id>]``, naming whole files that are the
+sanctioned home of an otherwise-banned construct (e.g. the estimator's
+``perf_counter`` measurement); every other finding fails the run.
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Optional
-
-#: severity levels, in increasing order of consequence.  ``off`` disables
-#: the rule, ``warning`` reports without failing, ``error`` fails the run.
-SEVERITIES = ("off", "warning", "error")
-
-_PRAGMA = re.compile(r"#\s*replint:\s*ignore(?:\[(?P<rules>[\w\-, ]+)\])?")
-
 
 @dataclass(frozen=True, slots=True)
 class Finding:
     """One rule violation at one source location.
 
-    ``code`` is the stripped source line — the baseline key, so that
-    grandfathered findings survive unrelated edits that shift line
-    numbers (see :mod:`repro.analysis.baseline`).
+    ``code`` is the stripped source line, printed under the location by
+    the text report and carried as the SARIF snippet.
     """
 
     rule: str
@@ -52,7 +39,6 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str
     code: str
 
     def location(self) -> str:
@@ -65,7 +51,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
             "code": self.code,
         }
 
@@ -78,7 +63,6 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=self.relpath)
-        self._ignores: Optional[dict[int, Optional[set[str]]]] = None
         #: scratch space for analyses that derive per-file artifacts worth
         #: sharing across rules (CFGs, scope tables, import maps).  Keyed
         #: by whatever the producing analysis chooses; lives exactly as
@@ -100,37 +84,10 @@ class FileContext:
         return self._nodes
 
     def code_at(self, line: int) -> str:
-        """The stripped source text of a 1-based line (baseline key)."""
+        """The stripped source text of a 1-based line."""
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
         return ""
-
-    def ignored(self, rule_id: str, line: int) -> bool:
-        """Whether ``# replint: ignore[...]`` suppresses ``rule_id`` here."""
-        if self._ignores is None:
-            self._ignores = self._scan_pragmas()
-        rules = self._ignores.get(line, _MISSING)
-        if rules is _MISSING:
-            return False
-        return rules is None or rule_id in rules
-
-    def _scan_pragmas(self) -> dict[int, Optional[set[str]]]:
-        pragmas: dict[int, Optional[set[str]]] = {}
-        for lineno, text in enumerate(self.lines, 1):
-            m = _PRAGMA.search(text)
-            if not m:
-                continue
-            listed = m.group("rules")
-            if listed is None:
-                pragmas[lineno] = None  # bare ignore: every rule
-            else:
-                pragmas[lineno] = {
-                    r.strip() for r in listed.split(",") if r.strip()
-                }
-        return pragmas
-
-
-_MISSING = object()
 
 
 class Rule:
@@ -146,14 +103,12 @@ class Rule:
     lives for one iteration.
     """
 
-    #: stable identifier used in config, pragmas, baseline and output
+    #: stable identifier used in config and output
     id: ClassVar[str]
     #: one-line description shown by ``replint --list-rules``
     summary: ClassVar[str]
-    default_severity: ClassVar[str] = "error"
 
     def __init__(self) -> None:
-        self.severity: str = self.default_severity
         self.allow: tuple[str, ...] = ()
 
     # ----------------------------------------------------------- protocol
@@ -161,17 +116,10 @@ class Rule:
     def configure(self, options: Mapping[str, object]) -> None:
         """Apply ``[tool.replint.rules.<id>]`` options.
 
-        The base class consumes ``severity`` and ``allow`` (path globs
-        where the rule is silent); subclasses handle their own keys and
-        should call ``super().configure(options)``.
+        The base class consumes ``allow`` (path globs where the rule is
+        silent); subclasses handle their own keys and should call
+        ``super().configure(options)``.
         """
-        severity = options.get("severity", self.severity)
-        if severity not in SEVERITIES:
-            raise ConfigError(
-                f"rule {self.id!r}: severity must be one of {SEVERITIES}, "
-                f"got {severity!r}"
-            )
-        self.severity = severity
         allow = options.get("allow", ())
         if isinstance(allow, str):
             allow = (allow,)
@@ -202,7 +150,6 @@ class Rule:
             line=line,
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            severity=self.severity,
             code=ctx.code_at(line),
         )
 
@@ -241,7 +188,7 @@ def create_rules(
     rule_options: Mapping[str, Mapping[str, object]] | None = None,
     select: Optional[Iterable[str]] = None,
 ) -> list[Rule]:
-    """Instantiate and configure every active registered rule.
+    """Instantiate and configure every registered rule.
 
     Args:
         rule_options: per-rule option tables (``[tool.replint.rules.*]``).
@@ -268,8 +215,7 @@ def create_rules(
     for rule_id in wanted:
         rule = _RULES[rule_id]()
         rule.configure(rule_options.get(rule_id, {}))
-        if rule.severity != "off":
-            rules.append(rule)
+        rules.append(rule)
     return rules
 
 
@@ -322,9 +268,7 @@ def analyze_contexts(
         for rule in rules:
             if rule.allows_path(ctx.relpath):
                 continue
-            for f in rule.check(ctx):
-                if not ctx.ignored(rule.id, f.line):
-                    findings.append(f)
+            findings.extend(rule.check(ctx))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

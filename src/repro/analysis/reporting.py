@@ -5,68 +5,30 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Optional
 
-from repro.analysis.baseline import BaselineEntry
 from repro.analysis.core import Finding, Rule
 
 
-def render_text(
-    findings: Iterable[Finding],
-    suppressed_count: int = 0,
-    stale: Iterable[BaselineEntry] = (),
-) -> str:
-    """ruff-style ``path:line:col rule severity: message`` lines."""
+def render_text(findings: Iterable[Finding]) -> str:
+    """ruff-style ``path:line:col rule: message`` lines, each followed by
+    the flagged source line."""
+    findings = list(findings)
     lines = []
-    errors = warnings = 0
     for f in findings:
-        if f.severity == "error":
-            errors += 1
-        else:
-            warnings += 1
-        lines.append(
-            f"{f.location()}: {f.rule} {f.severity}: {f.message}"
-        )
+        lines.append(f"{f.location()}: {f.rule}: {f.message}")
         if f.code:
             lines.append(f"    {f.code}")
-    for entry in stale:
-        lines.append(
-            f"note: stale baseline entry {entry.rule} @ {entry.path} "
-            f"({entry.code!r}) — remove it"
-        )
-    summary = f"replint: {errors} error(s), {warnings} warning(s)"
-    if suppressed_count:
-        summary += f", {suppressed_count} baselined"
-    lines.append(summary)
+    lines.append(f"replint: {len(findings)} error(s)")
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Iterable[Finding],
-    suppressed: Iterable[Finding] = (),
-    stale: Iterable[BaselineEntry] = (),
-) -> str:
+def render_json(findings: Iterable[Finding]) -> str:
     findings = list(findings)
-    suppressed = list(suppressed)
     payload = {
-        "version": 1,
+        "version": 2,
         "findings": [f.to_json() for f in findings],
-        "suppressed": [f.to_json() for f in suppressed],
-        "stale_baseline_entries": [
-            {"rule": e.rule, "path": e.path, "code": e.code}
-            for e in stale
-        ],
-        "summary": {
-            "errors": sum(1 for f in findings if f.severity == "error"),
-            "warnings": sum(
-                1 for f in findings if f.severity == "warning"
-            ),
-            "baselined": len(suppressed),
-        },
+        "summary": {"errors": len(findings)},
     }
     return json.dumps(payload, indent=2)
-
-
-#: SARIF "level" per replint severity (SARIF has no "off")
-_SARIF_LEVELS = {"error": "error", "warning": "warning"}
 
 
 def render_sarif(
@@ -76,8 +38,8 @@ def render_sarif(
     """SARIF 2.1.0, the format GitHub code scanning ingests.
 
     Uploading this from CI turns every finding into an inline
-    annotation on the PR diff — baselined/suppressed findings are
-    deliberately omitted (they are accepted debt, not review signal).
+    annotation on the PR diff.  Every finding fails the run, so every
+    result, and every rule's default, is level ``error``.
     """
     findings = list(findings)
     rules = dict(rules or {})
@@ -92,9 +54,7 @@ def render_sarif(
         obj: dict = {"id": rule_id}
         if cls is not None:
             obj["shortDescription"] = {"text": cls.summary}
-            obj["defaultConfiguration"] = {
-                "level": _SARIF_LEVELS.get(cls.default_severity, "warning")
-            }
+            obj["defaultConfiguration"] = {"level": "error"}
         rule_objs.append(obj)
     results = []
     for f in findings:
@@ -102,7 +62,7 @@ def render_sarif(
             {
                 "ruleId": f.rule,
                 "ruleIndex": index_of[f.rule],
-                "level": _SARIF_LEVELS.get(f.severity, "warning"),
+                "level": "error",
                 "message": {"text": f.message},
                 "locations": [
                     {
@@ -145,6 +105,6 @@ def render_sarif(
 def render_rule_list(rules: Iterable[type[Rule]]) -> str:
     lines = []
     for cls in rules:
-        lines.append(f"{cls.id} [{cls.default_severity}]")
+        lines.append(cls.id)
         lines.append(f"    {cls.summary}")
     return "\n".join(lines)

@@ -1,25 +1,22 @@
 """replint fixture suite: every rule fires on a seeded violation, stays
-quiet on the idiomatic version, and the repo itself is clean (modulo the
-committed baseline) — the self-check that backs the CI gate."""
+quiet on the idiomatic version, and the repo itself is clean — the
+self-check that backs the CI gate."""
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    BaselineEntry,
     Finding,
     Rule,
     analyze_sources,
-    apply_baseline,
     create_rules,
-    load_baseline,
     register_rule,
     registered_rules,
-    write_baseline,
 )
 from repro.analysis.cli import main as replint_main
 from repro.analysis.config import _parse_minimal_toml
@@ -382,56 +379,30 @@ def test_left_fold_rule_allows_left_sum_and_non_time_sums():
 
 
 # ---------------------------------------------------------------------------
-# suppression layers: pragma, severity, baseline
+# exemption: an allow glob, nothing else
 # ---------------------------------------------------------------------------
 
 
-def test_inline_pragma_suppresses_one_line():
+def test_a_comment_does_not_silence_a_rule():
     src = (
         "import time\n"
         "a = time.time()  # replint: ignore[wall-clock]\n"
         "b = time.time()\n"
     )
     findings = analyze_sources({"m.py": src})
-    # the import itself is not flagged, only the calls; one is ignored
-    assert [f.line for f in findings] == [3]
+    # the import itself is not flagged, only the calls
+    assert [(f.rule, f.line) for f in findings] == [
+        ("wall-clock", 2), ("wall-clock", 3),
+    ]
 
 
-def test_severity_warning_and_off():
-    rules = create_rules(
-        {"wall-clock": {"severity": "warning"}}, select=["wall-clock"]
-    )
-    findings = analyze_sources(
-        {"m.py": "import time\nt = time.time()\n"}, rules
-    )
-    assert findings and all(f.severity == "warning" for f in findings)
-    assert "wall-clock" not in {
-        r.id for r in create_rules({"wall-clock": {"severity": "off"}})
-    }
-    with pytest.raises(ConfigError):
-        create_rules({"wall-clock": {"severity": "loud"}})
+def test_allow_glob_is_the_one_exemption():
+    rules = create_rules({"wall-clock": {"allow": ["m.py"]}})
+    source = "import time\nt = time.time()\n"
+    findings = analyze_sources({"m.py": source, "n.py": source}, rules)
+    assert [(f.rule, f.path) for f in findings] == [("wall-clock", "n.py")]
     with pytest.raises(ConfigError):
         create_rules({"no-such-rule": {}})
-
-
-def test_baseline_roundtrip(tmp_path):
-    findings = analyze_sources({"m.py": "import time\nt = time.time()\n"})
-    assert findings
-    path = tmp_path / "baseline.json"
-    write_baseline(path, findings)
-    entries = load_baseline(path)
-    assert all(e.justification == "TODO: justify" for e in entries)
-    result = apply_baseline(findings, entries)
-    assert result.fresh == [] and len(result.suppressed) == len(findings)
-    # a justification survives regeneration; fixed findings go stale
-    blessed = [
-        BaselineEntry(e.rule, e.path, e.code, e.count, "measured on purpose")
-        for e in entries
-    ]
-    write_baseline(path, findings, previous=blessed)
-    assert load_baseline(path)[0].justification == "measured on purpose"
-    stale = apply_baseline([], blessed)
-    assert [e.code for e in stale.stale] == [blessed[0].code]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +421,7 @@ def test_register_rule_mirrors_register_strategy():
                 if "TODO" in line:
                     yield Finding(
                         self.id, ctx.relpath, lineno, 1,
-                        "todo found", self.severity, ctx.code_at(lineno),
+                        "todo found", ctx.code_at(lineno),
                     )
 
     try:
@@ -499,18 +470,33 @@ def test_minimal_toml_parser_multiline_arrays():
 def test_cli_gate_rejects_seeded_violation(tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.py").write_text("import time\nt = time.time()\n")
     monkeypatch.chdir(tmp_path)
-    code = replint_main(["bad.py", "--format", "json", "--no-baseline"])
+    code = replint_main(["bad.py", "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["summary"]["errors"] == 1
     assert report["findings"][0]["rule"] == "wall-clock"
-    # baselining the finding turns the gate green again
-    assert replint_main(["bad.py", "--update-baseline",
-                         "--baseline", "bl.json"]) == 0
-    assert replint_main(["bad.py", "--baseline", "bl.json"]) == 0
+    # a reviewed allow glob turns the gate green again
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.replint.rules.wall-clock]\nallow = ["bad.py"]\n'
+    )
+    assert replint_main(["bad.py"]) == 0
 
 
 def test_cli_self_check_repo_is_clean(monkeypatch):
-    """`python -m repro.analysis src` exits 0 on the repo (mod baseline)."""
+    """`python -m repro.analysis src` exits 0 on the repo."""
     monkeypatch.chdir(REPO_ROOT)
     assert replint_main(["src"]) == 0
+
+
+def test_every_stock_rule_has_a_doc_section():
+    """docs/static-analysis.md is the one rule catalogue: its "## Rules"
+    section has a ``### `<id>` `` heading for exactly the stock rules."""
+    text = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
+    section = text.split("\n## Rules\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^### `([\w-]+)`$", section, re.M))
+    stock = {
+        rule_id
+        for rule_id, cls in registered_rules().items()
+        if cls.__module__.startswith("repro.analysis.rules")
+    }
+    assert documented == stock
