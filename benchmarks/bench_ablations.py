@@ -20,7 +20,6 @@ from repro.engine.stats import RunResult
 from repro.experiments.report import render_table
 from repro.experiments.runner import parallel_map
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView
 from repro.solvers import GreedyScheduler, KnapsackScheduler
 
 from conftest import run_once, save_result
@@ -31,7 +30,6 @@ JOBS = min(4, os.cpu_count() or 1)
 
 def run_mimose(task, planner):
     model = task.model
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=planner.budget_bytes)
     result = RunResult(task.spec.abbr, "mimose", planner.budget_bytes)
     for batch in task.loader:

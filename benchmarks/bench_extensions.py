@@ -15,7 +15,6 @@ from repro.engine.stats import RunResult
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_task
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView
 
 from conftest import run_once, save_result
 
@@ -72,7 +71,6 @@ def bench_adaptive_margin(benchmark, results_dir):
             budget = int(lb * 1.35)
             model = task.model
             planner = MimosePlanner(budget, **kwargs)
-            planner.setup(ModelView(model))
             ex = TrainingExecutor(model, planner, capacity_bytes=budget)
             result = RunResult(task.spec.abbr, label, budget)
             for batch in task.loader:
@@ -115,7 +113,6 @@ def bench_amp_mixed_precision(benchmark, results_dir):
 
     def sweep():
         from repro.models.registry import build_model
-        from repro.planners.base import ModelView
 
         budget = int(3.5 * GB)
         rows = []
@@ -123,7 +120,6 @@ def bench_amp_mixed_precision(benchmark, results_dir):
             task = load_task("TC-Bert", iterations=80, seed=33)
             model = build_model(name)
             planner = MimosePlanner(budget)
-            planner.setup(ModelView(model))
             ex = TrainingExecutor(model, planner, capacity_bytes=budget)
             result = RunResult("TC-Bert", name, budget)
             for batch in task.loader:

@@ -28,7 +28,6 @@ from repro.engine.stats import RunResult
 from repro.experiments.report import render_table
 from repro.experiments.runner import make_planner, sweep
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView
 from repro.tensorsim.device import DeviceModel
 from repro.tensorsim.faults import FaultPlan
 
@@ -71,14 +70,13 @@ def _run_stream(
 ):
     model = task.model
     planner = make_planner(planner_name, BUDGET, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(
         model,
         planner,
         capacity_bytes=BUDGET,
         replay=replay,
         compiled=compiled,
-        faults=faults.build() if faults is not None else None,
+        faults=faults,
     )
     for attach in observers:
         attach(executor)

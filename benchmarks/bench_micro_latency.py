@@ -82,7 +82,7 @@ def bench_scheduler_hybrid_assign(benchmark):
         est_time=est_time,
         bwd_time=bwd_time,
     )
-    scheduler = HybridGreedyScheduler(PcieCostModel(pcie_bandwidth=12e9))
+    scheduler = HybridGreedyScheduler(PcieCostModel())
     assignment = benchmark(scheduler.assign, inp)
     assert assignment.units
 

@@ -10,6 +10,7 @@ is identically zero, and no solver beats the optimum.
 """
 
 import math
+from dataclasses import replace
 
 from conftest import run_once, save_result
 
@@ -22,8 +23,10 @@ from repro.solvers import (
     plan_feasible,
     solver_names,
 )
+from repro.tensorsim.device import V100, DeviceModel
 
 MB = 1 << 20
+SLOW_LINK = DeviceModel(replace(V100, pcie_bandwidth=2e9))
 
 
 def _hard_instance(n: int = 64) -> SolverInput:
@@ -49,7 +52,7 @@ def bench_exact_solver_64_units(benchmark):
     case; this pin is what entitles the gap harness to run the exact
     solver per (planner, input-size) cell.
     """
-    model = PcieCostModel(pcie_bandwidth=2e9)
+    model = PcieCostModel(SLOW_LINK)
     solver = ExactSolver(model)
     inp = _hard_instance(64)
     assignment = benchmark(solver.assign, inp)

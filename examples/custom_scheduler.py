@@ -22,7 +22,6 @@ from repro.engine.events import OomHit, TimeCharged
 from repro.engine.executor import TrainingExecutor
 from repro.experiments.report import render_table
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView
 from repro.solvers import GreedyScheduler, KnapsackScheduler, Solver, SolverInput
 
 
@@ -86,7 +85,6 @@ def main() -> None:
         task = load_task("TC-Bert", iterations=args.iterations, seed=args.seed)
         model = task.model
         planner = MimosePlanner(budget, scheduler=scheduler)
-        planner.setup(ModelView(model))
         # replay=False: execution events are emitted by *simulated*
         # iterations only, and this scorecard wants to see every one
         # (a replayed iteration emits just ReplayHit/IterationEnd).

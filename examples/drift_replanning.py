@@ -31,7 +31,6 @@ from repro.engine.events import (
 )
 from repro.engine.executor import TrainingExecutor
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView
 
 
 class LifecycleLog:
@@ -97,7 +96,6 @@ def main() -> None:
     )
     model = task.model
     planner = MimosePlanner(budget, drift_detection=True)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=budget)
     log = LifecycleLog().attach(executor.events)
 

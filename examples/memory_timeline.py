@@ -28,7 +28,6 @@ from repro.models.registry import build_model
 from repro.planners.base import (
     ActionAssignment,
     CheckpointPlan,
-    ModelView,
     PlanDecision,
 )
 from repro.planners.none import NoCheckpointPlanner
@@ -87,7 +86,6 @@ def main() -> None:
     for title, plan in plans:
         model = build_model("bert-base")
         planner = NoCheckpointPlanner(16 * GB)
-        planner.setup(ModelView(model))
         executor = TrainingExecutor(model, planner, capacity_bytes=16 * GB)
         timeline = MemoryTimeline().attach(executor.events)
         stats = executor.run_iteration(batch, PlanDecision(plan))

@@ -22,7 +22,6 @@ import argparse
 from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView
 
 
 def main() -> None:
@@ -36,7 +35,6 @@ def main() -> None:
     budget = int(args.budget_gb * GB)
     model = task.model
     planner = MimosePlanner(budget)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=budget)
 
     print(

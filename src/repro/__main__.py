@@ -274,8 +274,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_gaps(args: argparse.Namespace) -> int:
     """Optimality-gap table over every registered solver (CI smoke gate).
 
-    Exit 1 if the exact solver reports a nonzero gap against itself —
-    the invariant the optimality harness is built on.
+    Names the sizes the exact search refuses (they are left out of every
+    row).  Exit 1 if the exact solver reports a nonzero gap against
+    itself — the invariant the optimality harness is built on — or if it
+    refuses every size, so that no cell could be priced.
     """
     from repro.experiments.optimality import fitted_inputs, gap_report
 
@@ -286,6 +288,13 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sizes = [size for size, _ in inputs]
+    priced = {size for cells in report.values() for size in cells}
+    refused = [size for size in sizes if size not in priced]
+    if refused:
+        print(f"the exact search refused sizes {refused}", file=sys.stderr)
+    if not priced:
+        print("error: no cell could be priced", file=sys.stderr)
+        return 1
     rows = [
         {
             "solver": name,

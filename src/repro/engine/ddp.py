@@ -15,7 +15,7 @@ synchronous step:
     step_time = max_r(iteration_r) + exposed_allreduce
 
 The gradient all-reduce uses the ring-allreduce cost model,
-``2 * (N-1)/N * grad_bytes / link_bandwidth``, partially hidden behind
+``2 * (N-1)/N * grad_bytes / LINK_BANDWIDTH``, partially hidden behind
 the backward pass (gradients of late layers are ready early): the
 exposed part is what exceeds ``overlap_fraction`` of the slowest rank's
 backward time.
@@ -24,14 +24,13 @@ backward time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import IterationStats
 from repro.models.base import BatchInput, SegmentedModel
-from repro.planners.base import ModelView, Planner
+from repro.planners.base import Planner
 from repro.tensorsim.clock import left_sum
-from repro.tensorsim.device import DeviceModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,14 +66,16 @@ class DataParallelExecutor:
         model_factory: builds one replica's model (fresh per rank).
         planner_factory: builds one replica's planner, given the rank.
         world_size: number of replicas.
-        capacity_bytes: per-rank device capacity.
-        device: per-rank device model.
-        link_bandwidth: all-reduce ring bandwidth in bytes/s (NVLink-class
-            default, 150 GB/s effective).
+        capacity_bytes: per-rank device capacity (every rank runs on the
+            default device model).
         overlap_fraction: share of the backward pass the all-reduce can
             hide under (bucketed gradients overlap with earlier layers'
             backward).
     """
+
+    #: all-reduce ring bandwidth in bytes/s (NVLink-class, 150 GB/s
+    #: effective)
+    LINK_BANDWIDTH = 150e9
 
     def __init__(
         self,
@@ -83,32 +84,21 @@ class DataParallelExecutor:
         world_size: int,
         *,
         capacity_bytes: int,
-        device: Optional[DeviceModel] = None,
-        link_bandwidth: float = 150e9,
         overlap_fraction: float = 0.7,
     ) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         if not 0.0 <= overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in [0, 1]")
-        if link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
         self.world_size = world_size
-        self.link_bandwidth = link_bandwidth
         self.overlap_fraction = overlap_fraction
-        self.executors: list[TrainingExecutor] = []
-        for rank in range(world_size):
-            model = model_factory()
-            planner = planner_factory(rank)
-            planner.setup(ModelView(model))
-            self.executors.append(
-                TrainingExecutor(
-                    model,
-                    planner,
-                    device=device,
-                    capacity_bytes=capacity_bytes,
-                )
+        self.executors = [
+            TrainingExecutor(
+                model_factory(), planner_factory(rank),
+                capacity_bytes=capacity_bytes,
             )
+            for rank in range(world_size)
+        ]
         self._grad_bytes = self.executors[0].model.static_memory().grad_bytes
         self.steps = 0
         self.total_time = 0.0
@@ -132,7 +122,7 @@ class DataParallelExecutor:
         if self.world_size == 1:
             return 0.0
         n = self.world_size
-        return 2.0 * (n - 1) / n * self._grad_bytes / self.link_bandwidth
+        return 2.0 * (n - 1) / n * self._grad_bytes / self.LINK_BANDWIDTH
 
     def step(self, batches: Sequence[BatchInput]) -> DdpStepStats:
         """Run one synchronous step; each rank gets its own batch."""

@@ -22,7 +22,7 @@ Modelling deviations from a real runtime are documented in
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Union
+from typing import Optional
 
 from repro.engine.compiled import CompiledCache
 from repro.engine.events import (
@@ -32,11 +32,10 @@ from repro.engine.events import (
 from repro.engine.replay import ReplayCache, ReplayKey, ReplayRecord
 from repro.engine.stats import IterationStats
 from repro.engine.strategies import (
-    ExecutionStrategy, IterationContext, StatsBuilder, SwapEngine,
-    strategy_for,
+    ExecutionStrategy, IterationContext, StatsBuilder, strategy_for,
 )
 from repro.models.base import BatchInput, SegmentedModel
-from repro.planners.base import PlanDecision, Planner
+from repro.planners.base import ModelView, PlanDecision, Planner
 from repro.tensorsim.allocator import Block, CachingAllocator, OutOfMemoryError
 from repro.tensorsim.clock import SimClock
 from repro.tensorsim.device import DeviceModel
@@ -50,15 +49,18 @@ class TrainingExecutor:
     Args:
         model: the segmented model to train.
         planner: decides checkpoint plans / evictions; supplies the budget.
+            The executor sets it up here, with a
+            :class:`~repro.planners.base.ModelView` of ``model``.
         device: roofline timing model.
         capacity_bytes: hard allocator capacity.  Plan-based planners set
             it to their budget; reactive planners and the baseline use
             physical device memory with the budget enforced logically
             (how DTR's fragmentation overshoot becomes observable, Fig 5).
-        faults: optional fault-injection plan (or a prebuilt injector),
-            deterministic per seed — see :mod:`repro.tensorsim.faults`.
-            It is the run's only perturbation stream: fragmentation
-            spikes, transient allocation failures and measurement noise.
+        faults: optional fault-injection plan, deterministic per seed —
+            see :mod:`repro.tensorsim.faults`; the executor builds its own
+            :class:`~repro.tensorsim.faults.FaultInjector` from it.  It is
+            the run's only perturbation stream: fragmentation spikes,
+            transient allocation failures and measurement noise.
         max_recovery_retries: retry budget per iteration when the planner
             supports recovery (see :meth:`step`); 0 makes any OOM fatal.
         replay: enable the iteration replay cache
@@ -82,13 +84,14 @@ class TrainingExecutor:
         *,
         device: Optional[DeviceModel] = None,
         capacity_bytes: Optional[int] = None,
-        faults: Optional[Union[FaultPlan, FaultInjector]] = None,
+        faults: Optional[FaultPlan] = None,
         max_recovery_retries: int = 3,
         replay: bool = True,
         compiled: bool = True,
     ) -> None:
         self.model = model
         self.planner = planner
+        planner.setup(ModelView(model))
         self.device = device or DeviceModel()
         capacity = capacity_bytes or self.device.memory_capacity
         self.allocator = CachingAllocator(capacity)
@@ -96,9 +99,7 @@ class TrainingExecutor:
         if max_recovery_retries < 0:
             raise ValueError("max_recovery_retries must be non-negative")
         self.max_recovery_retries = max_recovery_retries
-        self.faults: Optional[FaultInjector] = (
-            faults.build() if isinstance(faults, FaultPlan) else faults
-        )
+        self.faults = FaultInjector(faults) if faults is not None else None
         self.replay: Optional[ReplayCache] = ReplayCache() if replay else None
         self.compiled: Optional[CompiledCache] = (
             CompiledCache() if replay and compiled else None
@@ -107,7 +108,6 @@ class TrainingExecutor:
         self._sig_version: Optional[tuple] = None
         self._iteration = 0
         self._static_blocks = self._allocate_static()
-        self.swap = SwapEngine()
         self._stats = StatsBuilder()
         self.events = EventBus()
         # A planner exposing a lifecycle controller (MimosePlanner)
@@ -316,16 +316,20 @@ class TrainingExecutor:
     ) -> IterationStats:
         alloc = self.allocator
         alloc.reset_peaks()
-        self.swap.reset()
         self.clock.advance(decision.planning_time)
         sim_start = self.clock.now
         ctx = IterationContext(
-            executor=self,
+            allocator=alloc,
+            clock=self.clock,
+            device=self.device,
+            bus=self.events,
+            faults=self.faults,
+            planner=self.planner,
+            model=self.model,
             decision=decision,
             batch=batch,
             iteration=iteration,
             strategy=strategy,
-            swap=self.swap,
             profiles=self.model.profiles(batch),
             unit_times=self.model.unit_times(self.device, batch),
         )

@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.engine.events import (
     BackwardMeasured,
+    EventBus,
     MeasurementTaken,
     SwapIn,
     SwapOut,
@@ -72,13 +73,17 @@ from repro.planners.base import (
     ExecutionMode,
     MemoryAction,
     PlanDecision,
+    Planner,
 )
-from repro.tensorsim.allocator import OutOfMemoryError
+from repro.tensorsim.allocator import CachingAllocator, OutOfMemoryError
+from repro.tensorsim.clock import SimClock
+from repro.tensorsim.device import DeviceModel
+from repro.tensorsim.faults import FaultInjector
 from repro.tensorsim.tensor import SimTensor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executor import TrainingExecutor
-    from repro.models.base import BatchInput
+    from repro.models.base import BatchInput, SegmentedModel
 
 #: the components an :meth:`IterationContext.charge` may name
 _COMPONENTS = (
@@ -128,7 +133,8 @@ class SwapEngine:
     (:meth:`flush`); backward prefetches the next offloaded unit with a
     lookahead of one (:meth:`issue_swapin`) and stalls on the remainder.
 
-    Transfers are timed on the iteration's own clock
+    Each pass gets a fresh, idle engine (:attr:`IterationContext.swap`),
+    and its transfers are timed on the iteration's own clock
     (:attr:`IterationContext.elapsed`), not the run's: a difference of
     two absolute readings rounds by where the run's clock happens to be
     (which side of a power of two, how much host planning time came
@@ -138,11 +144,6 @@ class SwapEngine:
 
     copy_free: float = 0.0
     pending: list[tuple[float, UnitRuntime]] = field(default_factory=list)
-
-    def reset(self) -> None:
-        """Idle at the start of an iteration, nothing in flight."""
-        self.copy_free = 0.0
-        self.pending = []
 
     def flush(self, ctx: "IterationContext") -> None:
         """Release activations whose swap-out has completed by now."""
@@ -208,22 +209,30 @@ class SwapEngine:
 class IterationContext:
     """Everything one iteration's pipeline stages share.
 
-    Owns the per-iteration mutable state (unit runtimes, the input
-    tensor, what the stats report) and the tensor-lifetime helpers the
-    strategies compose.  Tensor allocation (:meth:`alloc_tensor`)
-    dispatches through the strategy so reactive planners can interpose
-    eviction.
+    Holds the run's objects the executor hands each pass (allocator,
+    clock, device, bus, fault injector, planner and model) as plain
+    fields, the pass's own idle copy engine, the per-iteration mutable
+    state (unit runtimes, the input tensor, what the stats report) and
+    the tensor-lifetime helpers the strategies compose.  Tensor
+    allocation (:meth:`alloc_tensor`) dispatches through the strategy so
+    reactive planners can interpose eviction.
     """
 
-    executor: "TrainingExecutor"
+    allocator: CachingAllocator
+    clock: SimClock
+    device: DeviceModel
+    bus: EventBus
+    faults: Optional[FaultInjector]
+    planner: Planner
+    model: "SegmentedModel"
     decision: PlanDecision
     batch: "BatchInput"
     iteration: int
     strategy: "ExecutionStrategy"
-    swap: SwapEngine
     profiles: tuple[ModuleProfile, ...]
     #: per unit: (forward, backward) seconds at this batch
     unit_times: tuple[tuple[float, float], ...]
+    swap: SwapEngine = field(default_factory=SwapEngine)
     runtimes: list[UnitRuntime] = field(default_factory=list)
     input_tensor: Optional[SimTensor] = None
     #: simulated seconds charged so far this iteration: the copy engine's
@@ -242,36 +251,6 @@ class IterationContext:
     num_checkpointed: int = 0
     evictions: int = 0
     num_swapped: int = 0
-
-    # ----------------------------------------------------------- shortcuts
-
-    @property
-    def allocator(self):
-        return self.executor.allocator
-
-    @property
-    def clock(self):
-        return self.executor.clock
-
-    @property
-    def device(self):
-        return self.executor.device
-
-    @property
-    def bus(self):
-        return self.executor.events
-
-    @property
-    def faults(self):
-        return self.executor.faults
-
-    @property
-    def planner(self):
-        return self.executor.planner
-
-    @property
-    def model(self):
-        return self.executor.model
 
     # ---------------------------------------------------------- time & alloc
 
@@ -864,15 +843,14 @@ class StatsBuilder:
 
     def finalize(self, ctx: IterationContext, oom: bool) -> IterationStats:
         comp = ctx.times
-        executor = ctx.executor
-        alloc = executor.allocator
+        alloc = ctx.allocator
         decision = ctx.decision
         return IterationStats(
             iteration=ctx.iteration,
             input_size=ctx.batch.input_size,
             input_shape=ctx.batch.shape,
             mode=decision.mode.value,
-            plan_label=decision.plan.label or executor.planner.name,
+            plan_label=decision.plan.label or ctx.planner.name,
             num_checkpointed=ctx.num_checkpointed,
             fwd_time=comp["fwd"],
             bwd_time=comp["bwd"],

@@ -33,11 +33,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
-from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import RunResult
-from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView, Planner
+from repro.experiments.runner import run_task
+from repro.experiments.tasks import load_task
+from repro.planners.base import Planner
 from repro.solvers import (
     ExactSolver,
     PcieCostModel,
@@ -141,51 +141,31 @@ def attach_gaps(
 
 
 def fitted_inputs(
-    task_abbr: str = "TC-Bert",
-    *,
-    num_sizes: int = 3,
-    budget_gb: Optional[float] = None,
-    seed: int = 0,
-    device: Optional[DeviceModel] = None,
+    task_abbr: str = "TC-Bert", *, num_sizes: int = 3, seed: int = 0
 ) -> list[tuple[int, SolverInput]]:
     """Solver inputs from one fitted estimator, at evenly spaced sizes.
 
-    Runs a short Mimose mini-run (sheltered collection plus a few
-    responsive iterations, enough to fit the estimator), then rebuilds
+    Runs a short Mimose mini-run (the 10 sheltered collection iterations
+    plus 6 responsive ones, enough to fit the estimator), then rebuilds
     the :class:`SolverInput` the planner would hand its solver at
     ``num_sizes`` evenly spaced input sizes the run actually saw.  Every
     solver scored by :func:`gap_report` sees these same inputs, so the
     per-cell comparison isolates plan quality from estimation quality.
 
-    ``budget_gb=None`` (the default) places the budget 30 % of the way
-    between the task's full-checkpoint floor and its no-checkpoint peak
-    — inside the memory-constrained regime, so the inputs carry positive
-    excess and the gap cells are non-trivial.  An ample explicit budget
-    makes every gap trivially zero (nothing to cover).
+    The budget sits 30 % of the way between the task's full-checkpoint
+    floor and its no-checkpoint peak — inside the memory-constrained
+    regime, so the inputs carry positive excess and the gap cells are
+    non-trivial.
     """
     task = load_task(task_abbr, iterations=64, seed=seed)
     lb, ub = task.memory_bounds()
-    if budget_gb is None:
-        budget = int(lb + 0.30 * (ub - lb))
-    else:
-        budget = max(int(budget_gb * GB), int(lb * 1.15))
-    planner = MimosePlanner(budget)
-    iterations = planner.collector.min_iterations + 6
-    model = task.model
-    planner.setup(ModelView(model))
-    executor = TrainingExecutor(
-        model,
-        planner,
-        device=device,
-        capacity_bytes=budget,
+    executors: list[TrainingExecutor] = []
+    result = run_task(
+        task, "mimose", int(lb + 0.30 * (ub - lb)),
+        max_iterations=16, observers=(executors.append,),
     )
-    sizes: list[int] = []
-    for i, batch in enumerate(task.loader):
-        if i >= iterations:
-            break
-        stats = executor.step(batch)
-        if not stats.is_collect:
-            sizes.append(stats.input_size)
+    planner = executors[0].planner
+    sizes = [s.input_size for s in result.iterations if not s.is_collect]
     # Candidate sizes span the task's whole input distribution (the
     # estimator extrapolates, so unseen sizes are fair game), preferring
     # sizes whose predicted peak exceeds the budget — cells with zero
@@ -210,30 +190,34 @@ def fitted_inputs(
 def gap_report(
     solver_names: Iterable[str],
     inputs: Sequence[tuple[int, SolverInput]],
-    *,
-    device: Optional[DeviceModel] = None,
 ) -> dict[str, dict[int, float]]:
     """Per-(solver, input-size) relative gaps against the exact optimum.
 
     Every cell is priced with one shared :class:`PcieCostModel` so costs
-    are comparable across solvers; infeasible plans and cells a solver
-    refuses (the exact solver's caps) score ``inf`` / are skipped.
+    are comparable across solvers; infeasible plans score ``inf``, and
+    cells a solver refuses are skipped.  A size the exact search refuses
+    (its unit or node cap) has no optimum to compare against, so it is
+    left out of every solver's row.
 
     Raises:
         RuntimeError: if the exact solver's own gap is not identically
             zero on any cell — the invariant the CI smoke job gates.
     """
-    model = PcieCostModel(device)
+    model = PcieCostModel()
     exact = ExactSolver(model)
-    optima = {
-        size: plan_cost(model, exact.assign(inp), inp)
-        for size, inp in inputs
-    }
+    optima: dict[int, float] = {}
+    for size, inp in inputs:
+        try:
+            optimum = exact.assign(inp)
+        except ValueError:
+            continue  # the exact search refused the cell
+        optima[size] = plan_cost(model, optimum, inp)
+    priced = [(size, inp) for size, inp in inputs if size in optima]
     report: dict[str, dict[int, float]] = {}
     for name in solver_names:
-        solver = make_solver(name, device=device)
+        solver = make_solver(name)
         cells: dict[int, float] = {}
-        for size, inp in inputs:
+        for size, inp in priced:
             try:
                 assignment = solver.assign(inp)
             except ValueError:

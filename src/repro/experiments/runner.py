@@ -25,7 +25,7 @@ from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import RunResult
 from repro.experiments.tasks import TaskContext
-from repro.planners.base import ModelView, Planner
+from repro.planners.base import Planner
 from repro.planners.capuchin import CapuchinPlanner
 from repro.planners.checkmate import CheckmatePlanner
 from repro.planners.dtr import DTRPlanner
@@ -34,7 +34,7 @@ from repro.planners.none import NoCheckpointPlanner
 from repro.planners.sublinear import SublinearPlanner
 from repro.solvers import make_solver, solver_class, solver_names
 from repro.tensorsim.device import DeviceModel, V100
-from repro.tensorsim.faults import FaultInjector, FaultPlan
+from repro.tensorsim.faults import FaultPlan
 
 PLANNER_NAMES = (
     "baseline", "sublinear", "checkmate", "monet", "dtr", "capuchin", "mimose"
@@ -195,7 +195,6 @@ def run_task(
         drift_detection=drift_detection,
         static_fit=static_fit,
     )
-    planner.setup(ModelView(model))
     capacity = (
         device.memory_capacity
         if planner.requires_physical_capacity
@@ -206,7 +205,7 @@ def run_task(
         planner,
         device=device,
         capacity_bytes=capacity,
-        faults=FaultInjector(faults) if faults is not None else None,
+        faults=faults,
         max_recovery_retries=max_retries,
     )
     for attach in observers:

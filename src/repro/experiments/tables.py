@@ -249,7 +249,6 @@ def _collect_samples(
         budget_bytes=64 * GB, collect_iterations=num_sizes
     )
     view = ModelView(model)
-    planner.setup(view)
     executor = TrainingExecutor(
         model,
         planner,

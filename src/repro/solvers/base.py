@@ -101,9 +101,9 @@ class PcieCostModel:
     :data:`DEFAULT_BWD_RATIO` unless the caller forces one.
 
     Args:
-        device: device model used to price PCIe transfers.
-        pcie_bandwidth: host link bandwidth (bytes/s); ``None`` prices
-            transfers at the device preset's own link speed.
+        device: device model used to price PCIe transfers, at its
+            preset's link speed (the one the executor's copy engine
+            runs at).
         bwd_ratio: ``None`` (the default) prefers measured ``bwd_time``
             and uses :data:`DEFAULT_BWD_RATIO` only as the fallback when
             backwards were never measured.  An explicit float *forces*
@@ -123,19 +123,15 @@ class PcieCostModel:
         self,
         device: Optional[DeviceModel] = None,
         *,
-        pcie_bandwidth: Optional[float] = None,
         bwd_ratio: Optional[float] = None,
     ) -> None:
         if bwd_ratio is not None and bwd_ratio <= 0:
             raise ValueError(f"bwd_ratio must be positive, got {bwd_ratio}")
         self.device = device if device is not None else DeviceModel()
-        self.pcie_bandwidth = pcie_bandwidth
         self.bwd_ratio = bwd_ratio
 
     def transfer_time(self, nbytes: int) -> float:
-        return self.device.transfer_time(
-            nbytes, pcie_bandwidth=self.pcie_bandwidth
-        )
+        return self.device.transfer_time(nbytes)
 
     def recompute_cost(self, unit: str, inp: SolverInput) -> float:
         if inp.est_time is None:

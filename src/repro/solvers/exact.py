@@ -20,8 +20,8 @@ Tractability: the search is exponential in the worst case but the
 fractional-relaxation bound plus the swap-dominance prune keep it well
 under a millisecond at the repo's unit counts (≤ ~100 units; see
 ``benchmarks/bench_optimality.py`` for the pinned 64-unit wall time).
-``max_units`` guards against pathological inputs — the gap harness
-skips cells beyond it rather than hanging.
+``MAX_UNITS`` and ``MAX_NODES`` guard against pathological inputs — the
+gap harness skips the cells the search refuses rather than hanging.
 """
 
 from __future__ import annotations
@@ -57,28 +57,23 @@ class ExactSolver(Solver):
 
     Args:
         cost_model: action pricing; defaults to :class:`PcieCostModel`.
-        max_units: refuse inputs with more (non-zero-byte) units than
-            this — exactness is only claimed where the search is known
-            tractable.
     """
 
     name = "exact"
     prices_actions = True
 
+    #: Inputs with more (non-zero-byte) units than this are refused —
+    #: exactness is only claimed where the search is known tractable.
+    MAX_UNITS = 128
+
     #: Search-size backstop: exactness is never claimed past this many
     #: explored nodes — pathological inputs raise instead of hanging.
     MAX_NODES = 2_000_000
 
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        *,
-        max_units: int = 128,
-    ) -> None:
+    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = (
             cost_model if cost_model is not None else PcieCostModel()
         )
-        self.max_units = max_units
 
     @classmethod
     def create(
@@ -99,9 +94,9 @@ class ExactSolver(Solver):
             (u for u in inp.est_bytes if inp.est_bytes[u] > 0),
             key=lambda u: (-inp.est_bytes[u], u),
         )
-        if len(units) > self.max_units:
+        if len(units) > self.MAX_UNITS:
             raise ValueError(
-                f"exact solver capped at {self.max_units} units; "
+                f"exact solver capped at {self.MAX_UNITS} units; "
                 f"got {len(units)}"
             )
         if not units:

@@ -96,14 +96,11 @@ class DeviceModel:
             bwd += self.kernel_time(c.bwd_flops, c.bwd_bytes)
         return fwd, bwd
 
-    def transfer_time(
-        self, nbytes: float, *, pcie_bandwidth: float | None = None
-    ) -> float:
+    def transfer_time(self, nbytes: float) -> float:
         """Host<->device copy time over the PCIe link (swap planners)."""
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
-        bandwidth = pcie_bandwidth or self.preset.pcie_bandwidth
-        return self.preset.launch_overhead + nbytes / bandwidth
+        return self.preset.launch_overhead + nbytes / self.preset.pcie_bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeviceModel({self.preset.name})"

@@ -229,9 +229,6 @@ class FaultPlan:
     def empty(self) -> bool:
         return not self.spikes and not self.failures and self.noise is None
 
-    def build(self) -> "FaultInjector":
-        return FaultInjector(self)
-
 
 @dataclass(slots=True)
 class FaultInjectorStats:

@@ -28,7 +28,6 @@ from repro.engine.trace import MemoryTimeline
 from repro.experiments.runner import make_planner, run_task
 from repro.experiments.tasks import GB, TASKS, load_task
 from repro.models.base import BatchInput
-from repro.planners.base import ModelView
 from repro.planners.dtr import DTRPlanner
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.allocator import ALIGNMENT, FreeList
@@ -45,7 +44,6 @@ def _run(task, planner_name, budget, *, compiled=True, replay=True,
          stream=None, faults=None, max_retries=3, observer=None):
     model = task.model
     planner = make_planner(planner_name, budget, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(
         model,
         planner,
@@ -54,7 +52,7 @@ def _run(task, planner_name, budget, *, compiled=True, replay=True,
         ),
         replay=replay,
         compiled=compiled,
-        faults=faults.build() if faults is not None else None,
+        faults=faults,
         max_recovery_retries=max_retries,
     )
     if observer is not None:
@@ -131,7 +129,6 @@ def test_certified_plan_serves_a_new_allocator_state():
 
     def run(replay):
         planner = NoCheckpointPlanner(4 * GB)
-        planner.setup(ModelView(model))
         executor = TrainingExecutor(
             model, planner, capacity_bytes=4 * GB, replay=replay
         )
@@ -262,9 +259,8 @@ def _templates_held_through(task, stream, faults, event):
     templates held when iteration ``event`` starts."""
     model = task.model
     planner = make_planner("mimose", 4 * GB, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(
-        model, planner, capacity_bytes=4 * GB, faults=faults.build()
+        model, planner, capacity_bytes=4 * GB, faults=faults
     )
     result = RunResult(task.spec.abbr, "mimose", 4 * GB)
     held = {}
@@ -374,7 +370,6 @@ def test_structural_drift_falls_back(monkeypatch):
     stream = [b for b in task.loader]
     model = task.model
     planner = make_planner("sublinear", 4 * GB, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     cache = executor.compiled
     tampered = None
@@ -463,7 +458,6 @@ def test_reactive_template_falls_back_over_the_budget():
 
     def run(compiled):
         planner = DTRPlanner(budget)
-        planner.setup(ModelView(model))
         executor = TrainingExecutor(
             model, planner, capacity_bytes=4 * GB, compiled=compiled
         )
@@ -580,7 +574,6 @@ def test_compiled_disabled_flag():
     task = load_task("TC-Bert", iterations=6, seed=0)
     model = task.model
     planner = make_planner("sublinear", 4 * GB, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(
         model, planner, capacity_bytes=4 * GB, compiled=False
     )

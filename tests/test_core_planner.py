@@ -6,7 +6,6 @@ from repro.core.planner import MimosePlanner
 from repro.solvers import KnapsackScheduler
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
-from repro.planners.base import ModelView
 from repro.tensorsim.dtypes import FLOAT32
 
 from tests.helpers import GB, MB, make_tiny_model
@@ -17,7 +16,6 @@ def make_setup(budget, *, num_units=6, features=512, collect=4, **planner_kw):
     planner = MimosePlanner(
         budget, collect_iterations=collect, headroom_bytes=4 * MB, **planner_kw
     )
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=budget)
     return model, planner, ex
 
@@ -50,7 +48,6 @@ def test_tight_budget_produces_checkpointing_plans():
     static = model.static_memory().total
     budget = static + 40 * MB
     planner = MimosePlanner(budget, collect_iterations=4, headroom_bytes=8 * MB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=budget)
     rows = [512, 1024, 1536, 768, 1400, 1500]
     results = [ex.step(b) for b in batches(rows)]
@@ -179,7 +176,6 @@ def test_cache_tolerance_actually_changes_behavior():
             2 * GB, collect_iterations=4,
             cache=PlanCache(tolerance=tol), headroom_bytes=4 * MB,
         )
-        planner.setup(ModelView(model))
         ex = TrainingExecutor(model, planner, capacity_bytes=2 * GB)
         for rows in (64, 128, 256, 192, 200, 202, 205, 198, 207, 195, 203):
             ex.step(BatchInput((rows, 512), FLOAT32))
@@ -201,7 +197,6 @@ def test_cache_hits_still_feed_the_residual_tracker():
         budget, collect_iterations=4, headroom_bytes=8 * MB,
         adaptive_margin=True,
     )
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=budget)
     for b in batches([512, 1024, 1536, 768]):
         ex.step(b)

@@ -1,6 +1,7 @@
 """Tests for Algorithm 1 (greedy bucketed scheduler) and the knapsack alternative."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from repro.solvers import (
     predicted_swap_stall,
 )
 from repro.solvers.chen import _recompute_cost
+from repro.tensorsim.device import V100, DeviceModel
 
 MB = 1 << 20
 
@@ -176,6 +178,7 @@ def test_knapsack_all_sub_quantum_falls_back_to_drop_all():
 # ------------------------------------------------------------- cost model
 
 GBPS = 10**9
+SLOW_LINK = DeviceModel(replace(V100, pcie_bandwidth=GBPS))
 
 
 def timed_inp(excess=100 * MB, bwd_time=None):
@@ -185,14 +188,14 @@ def timed_inp(excess=100 * MB, bwd_time=None):
 
 
 def test_overlap_window_prefers_measured_backwards():
-    model = PcieCostModel(pcie_bandwidth=GBPS)
+    model = PcieCostModel(SLOW_LINK)
     measured = timed_inp(bwd_time={"a": 0.3, "b": 0.5})
     assert model.overlap_window(measured) == pytest.approx(0.4)
     assert model.pricing_mode(measured) == "measured-bwd"
 
 
 def test_overlap_window_ratio_fallback_without_backwards():
-    model = PcieCostModel(pcie_bandwidth=GBPS)
+    model = PcieCostModel(SLOW_LINK)
     unmeasured = timed_inp()
     # DEFAULT_BWD_RATIO x mean forward = 2.0 x 0.2
     assert model.overlap_window(unmeasured) == pytest.approx(0.4)
@@ -200,7 +203,7 @@ def test_overlap_window_ratio_fallback_without_backwards():
 
 
 def test_overlap_window_explicit_ratio_overrides_measured():
-    model = PcieCostModel(pcie_bandwidth=GBPS, bwd_ratio=3.0)
+    model = PcieCostModel(SLOW_LINK, bwd_ratio=3.0)
     measured = timed_inp(bwd_time={"a": 9.0, "b": 9.0})
     # the override wins even though measured backwards are present
     assert model.overlap_window(measured) == pytest.approx(3.0 * 0.2)
@@ -208,7 +211,7 @@ def test_overlap_window_explicit_ratio_overrides_measured():
 
 
 def test_untimed_input_never_swaps():
-    model = PcieCostModel(pcie_bandwidth=GBPS)
+    model = PcieCostModel(SLOW_LINK)
     untimed = inp({"a": 120 * MB, "b": 80 * MB}, 100 * MB)
     assert model.recompute_cost("a", untimed) == 0.0
     assert model.overlap_window(untimed) == 0.0
@@ -224,10 +227,10 @@ def test_hybrid_assignment_differs_between_pricing_modes():
     shorter, so the same units are recomputed instead."""
     measured = timed_inp(bwd_time={"a": 0.001, "b": 0.001})
     by_measured = HybridGreedyScheduler(
-        PcieCostModel(pcie_bandwidth=GBPS)
+        PcieCostModel(SLOW_LINK)
     ).assign(measured)
     by_ratio = HybridGreedyScheduler(
-        PcieCostModel(pcie_bandwidth=GBPS, bwd_ratio=2.0)
+        PcieCostModel(SLOW_LINK, bwd_ratio=2.0)
     ).assign(measured)
     assert by_ratio.swap_units  # window 0.4 s hides the ~0.13 s transfers
     assert not by_measured.swap_units  # window 1 ms hides nothing
@@ -240,7 +243,7 @@ def test_hybrid_assignment_differs_between_pricing_modes():
 
 def test_hybrid_and_greedy_agree_when_swapping_never_pays():
     measured = timed_inp(bwd_time={"a": 0.0, "b": 0.0})
-    hybrid = HybridGreedyScheduler(PcieCostModel(pcie_bandwidth=GBPS))
+    hybrid = HybridGreedyScheduler(PcieCostModel(SLOW_LINK))
     assignment = hybrid.assign(measured)
     assert not assignment.swap_units
     # recompute-only view covers like the greedy contract requires
@@ -249,7 +252,7 @@ def test_hybrid_and_greedy_agree_when_swapping_never_pays():
 
 
 def test_predicted_swap_stall_matches_loop_pricing():
-    model = PcieCostModel(pcie_bandwidth=GBPS, bwd_ratio=2.0)
+    model = PcieCostModel(SLOW_LINK, bwd_ratio=2.0)
     measured = timed_inp()
     assignment = HybridGreedyScheduler(model).assign(measured)
     window = model.overlap_window(measured)
@@ -270,9 +273,9 @@ def test_time_sums_are_left_folds():
     times = {"a": 1e16, "b": 1.0, "c": -1e16}
     assert math.fsum(times.values()) == 1.0  # what a compensated sum gives
     timed = inp(dict.fromkeys(times, MB), MB, est_time=times, bwd_time=times)
-    model = PcieCostModel(pcie_bandwidth=GBPS)
+    model = PcieCostModel(SLOW_LINK)
     assert model.overlap_window(timed) == 0.0  # mean measured backward
-    ratio = PcieCostModel(pcie_bandwidth=GBPS, bwd_ratio=2.0)
+    ratio = PcieCostModel(SLOW_LINK, bwd_ratio=2.0)
     assert ratio.overlap_window(timed) == 0.0  # ratio x mean forward
     assert model.transfer_envelope(timed) == 0.0
     assert _recompute_cost(list(times), set(), timed) == 0.0

@@ -51,7 +51,7 @@ def test_balanced_batches_have_low_imbalance():
 def test_allreduce_ring_cost_model():
     ddp = tiny_ddp(world_size=4)
     grad_bytes = ddp.executors[0].model.static_memory().grad_bytes
-    expected = 2 * (3 / 4) * grad_bytes / ddp.link_bandwidth
+    expected = 2 * (3 / 4) * grad_bytes / DataParallelExecutor.LINK_BANDWIDTH
     assert ddp.allreduce_time() == pytest.approx(expected)
     single = tiny_ddp(world_size=1)
     assert single.allreduce_time() == 0.0

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
+from repro.engine.stats import RunResult
 from repro.engine.trace import MemoryTimeline
+from repro.experiments.tasks import load_task
 from repro.models.base import BatchInput
 from repro.planners.base import (
     ActionAssignment,
@@ -13,6 +16,7 @@ from repro.planners.base import (
     PlanDecision,
 )
 from repro.planners.none import NoCheckpointPlanner
+from repro.planners.sublinear import SublinearPlanner
 from repro.tensorsim.dtypes import FLOAT32
 
 from tests.helpers import GB, MB, make_tiny_model
@@ -21,7 +25,6 @@ from tests.helpers import GB, MB, make_tiny_model
 def make_executor(model=None, capacity=4 * GB, **kwargs):
     model = model or make_tiny_model()
     planner = NoCheckpointPlanner(capacity)
-    planner.setup(ModelView(model))
     return TrainingExecutor(model, planner, capacity_bytes=capacity, **kwargs)
 
 
@@ -38,7 +41,6 @@ def test_static_memory_allocated_up_front():
 def test_budget_below_static_footprint_raises():
     model = make_tiny_model()
     planner = NoCheckpointPlanner(1024)
-    planner.setup(ModelView(model))
     with pytest.raises(ValueError, match="static footprint"):
         TrainingExecutor(model, planner, capacity_bytes=1024)
 
@@ -136,7 +138,6 @@ def test_oom_returns_failed_stats_and_unwinds():
     model = make_tiny_model(num_units=6, features=1024)
     static = model.static_memory().total
     planner = NoCheckpointPlanner(static + 64 * MB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=static + 64 * MB)
     stats = ex.run_iteration(
         batch(4096, 1024), PlanDecision(CheckpointPlan.none())
@@ -151,8 +152,6 @@ def test_oom_returns_failed_stats_and_unwinds():
 
 def test_plan_entries_for_non_checkpointable_units_ignored(bert_model):
     planner = NoCheckpointPlanner(12 * GB)
-    view = ModelView(bert_model)
-    planner.setup(view)
     ex = TrainingExecutor(bert_model, planner, capacity_bytes=12 * GB)
     from repro.tensorsim.dtypes import INT64
 
@@ -172,7 +171,6 @@ def test_timeline_records_phases():
     timeline = MemoryTimeline()
     model = make_tiny_model(num_units=3)
     planner = NoCheckpointPlanner(4 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     timeline.attach(ex.events)
     ex.run_iteration(batch(), PlanDecision(CheckpointPlan.none()))
@@ -192,10 +190,37 @@ def test_iteration_times_helper():
     assert 0 < fwd < bwd
 
 
+def test_executor_sets_up_its_planner():
+    """Building the executor sets its planner up: a static planner has
+    its plan and Mimose knows the model's units, with no set-up call from
+    the caller; a caller's own set-up call first changes nothing."""
+    ex = TrainingExecutor(
+        make_tiny_model(),
+        SublinearPlanner(4 * GB, worst_case_batch=batch()),
+        capacity_bytes=4 * GB,
+    )
+    assert not ex.step(batch()).oom
+
+    budget = int(2.5 * GB)
+    digests = []
+    for caller_sets_up in (False, True):
+        task = load_task("TC-Bert", iterations=60, seed=0)
+        planner = MimosePlanner(budget)
+        if caller_sets_up:
+            planner.setup(ModelView(task.model))
+        ex = TrainingExecutor(task.model, planner, capacity_bytes=budget)
+        result = RunResult("TC-Bert", "mimose", budget)
+        for b in task.loader:
+            result.append(ex.step(b))
+        assert len(result.iterations) == 60
+        assert not all(s.is_collect for s in result.iterations)
+        digests.append(result.digest())
+    assert digests[0] == digests[1]
+
+
 def test_step_delegates_to_planner():
     model = make_tiny_model()
     planner = NoCheckpointPlanner(4 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     stats = ex.step(batch())
     assert stats.plan_label == "none"

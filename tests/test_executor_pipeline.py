@@ -47,7 +47,6 @@ from repro.planners.base import (
     ActionAssignment,
     CheckpointPlan,
     ExecutionMode,
-    ModelView,
     PlanDecision,
 )
 from repro.planners.dtr import DTRPlanner
@@ -303,7 +302,6 @@ def test_history_dependent_is_a_per_pass_verdict(monkeypatch):
     model = make_tiny_model(num_units=8, features=512)
     budget = model.static_memory().total + 24 * MB
     planner = DTRPlanner(budget)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     large, small = (BatchInput((n, 512), FLOAT32) for n in (1024, 64))
     executor.step(large)  # reserves the segments every later pass reuses

@@ -10,7 +10,6 @@ from repro.models.base import BatchInput
 from repro.planners.base import (
     ActionAssignment,
     CheckpointPlan,
-    ModelView,
     PlanDecision,
 )
 from repro.planners.base import ExecutionMode
@@ -40,7 +39,6 @@ def test_property_no_leaks_any_plan(case):
     num_units, plan, rows, mode = case
     model = make_tiny_model(num_units=num_units, features=128)
     planner = NoCheckpointPlanner(4 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     for _ in range(2):
         stats = ex.run_iteration(
@@ -62,7 +60,6 @@ def test_property_no_leaks_across_varying_batches(sizes, drop_all):
     allocator to exactly the static footprint."""
     model = make_tiny_model(num_units=4, features=128)
     planner = NoCheckpointPlanner(8 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=8 * GB)
     names = [u.name for u in model.units]
     plan = CheckpointPlan(
@@ -82,7 +79,6 @@ def test_property_time_components_are_consistent(case):
     num_units, plan, rows, mode = case
     model = make_tiny_model(num_units=num_units, features=128)
     planner = NoCheckpointPlanner(4 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     t0 = ex.clock.now
     stats = ex.run_iteration(
@@ -107,7 +103,6 @@ def test_property_same_inputs_same_results(case, seed):
     def run():
         model = make_tiny_model(num_units=num_units, features=128)
         planner = NoCheckpointPlanner(4 * GB)
-        planner.setup(ModelView(model))
         ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
         s = ex.run_iteration(
             BatchInput((rows, 128), FLOAT32), PlanDecision(plan, mode=mode)

@@ -101,6 +101,26 @@ def test_sweep_runs_baseline_once():
     assert ("sublinear", 4 * GB) in names and ("sublinear", 5 * GB) in names
 
 
+def test_gap_entry_points(capsys):
+    """``repro gaps`` and ``repro run --gap-sizes`` price their cells
+    against the exact optimum, whose own gap is zero on every cell."""
+    from repro.__main__ import main
+
+    assert main(["gaps", "--task", "TC-Bert", "--sizes", "2"]) == 0
+    rows = {
+        cells[0]: cells[1]
+        for line in capsys.readouterr().out.splitlines()
+        if len(cells := [c.strip() for c in line.split("|")]) == 3
+    }
+    assert rows["exact"].split("/") == ["0.0%", "0.0%"]
+    assert main([
+        "run", "--task", "TC-Bert", "--planner", "mimose", "--solver",
+        "exact", "--budget-gb", "2.5", "--iterations", "20",
+        "--gap-sizes", "2",
+    ]) == 0
+    assert "0.0%/0.0%" in capsys.readouterr().out
+
+
 def test_table3_counts_the_plans_recovery_generates(monkeypatch):
     """Table III's ``plans_generated`` counts every plan Mimose builds:
     the recovery ladder's replans take no plan-cache lookup, so two

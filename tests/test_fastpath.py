@@ -24,7 +24,6 @@ from repro.experiments.runner import (
     sweep,
 )
 from repro.experiments.tasks import GB, load_task
-from repro.planners.base import ModelView
 from repro.tensorsim.faults import FaultPlan
 
 
@@ -32,7 +31,6 @@ def _run(task, planner_name, budget, *, replay, timeline=None, faults=None,
          max_retries=3):
     model = task.model
     planner = make_planner(planner_name, budget, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(
         model,
         planner,
@@ -42,7 +40,7 @@ def _run(task, planner_name, budget, *, replay, timeline=None, faults=None,
             else 32 * GB
         ),
         replay=replay,
-        faults=faults.build() if faults is not None else None,
+        faults=faults,
         max_recovery_retries=max_retries,
     )
     if timeline is not None:
@@ -111,7 +109,6 @@ def test_replay_gets_hits_on_recurring_shapes():
     stream = [b for b in task.loader] * 20
     model = task.model
     planner = make_planner("mimose", 5 * GB, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=5 * GB)
     for batch in stream:
         executor.step(batch)
@@ -127,7 +124,6 @@ def test_eviction_free_reactive_run_is_served():
     def run(replay):
         model = task.model
         planner = make_planner("dtr", 5 * GB, task)
-        planner.setup(ModelView(model))
         executor = TrainingExecutor(
             model, planner, capacity_bytes=32 * GB, replay=replay
         )
@@ -163,10 +159,9 @@ def test_records_outlive_fault_windows(planner_name, budget_gb, fault_spec, even
     def run(replay):
         model = task.model
         planner = make_planner(planner_name, budget, task)
-        planner.setup(ModelView(model))
         executor = TrainingExecutor(
             model, planner, capacity_bytes=budget, replay=replay,
-            faults=faults.build(),
+            faults=faults,
         )
         earlier: dict = {}  # the records held when the window opens
         served_after: list[int] = []
@@ -199,7 +194,6 @@ def test_replay_disabled():
     task = load_task("TC-Bert", iterations=6, seed=0)
     model = task.model
     planner = make_planner("mimose", 5 * GB, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(
         model, planner, capacity_bytes=5 * GB, replay=False
     )
@@ -225,7 +219,6 @@ def test_recovery_full_checkpoint_clears_plan_cache():
     # Rebuild a fitted planner with cached plans, then drive rung 2.
     model = task.model
     planner = make_planner("mimose", budget, task)
-    planner.setup(ModelView(model))
     executor = TrainingExecutor(model, planner, capacity_bytes=budget)
     for batch in task.loader:
         executor.step(batch)

@@ -5,7 +5,6 @@ import pytest
 from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
-from repro.planners.base import ModelView
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
 from repro.tensorsim.faults import (
@@ -93,7 +92,7 @@ def test_injector_phantom_follows_spike_window():
         FragmentationSpike(start_iteration=3, num_iterations=1,
                            reserve_bytes=5 * MB),
     ))
-    inj = plan.build()
+    inj = FaultInjector(plan)
     phantoms = []
     for it in (1, 2, 3, 4):
         inj.begin_iteration(it)
@@ -120,7 +119,7 @@ def test_transient_failures_fire_only_on_first_attempt():
 
 def test_noise_perturbation_deterministic_per_iteration():
     plan = FaultPlan(seed=5, noise=MispredictionNoise(sigma=0.2, bias=-0.1))
-    a, b = plan.build(), plan.build()
+    a, b = FaultInjector(plan), FaultInjector(plan)
     a.begin_iteration(4)
     b.begin_iteration(4)
     values = [10 * MB, 20 * MB, 30 * MB]
@@ -137,7 +136,7 @@ def test_noise_perturbation_deterministic_per_iteration():
 
 def test_noise_bias_shifts_measurements():
     plan = FaultPlan(seed=1, noise=MispredictionNoise(sigma=0.0, bias=-0.25))
-    inj = plan.build()
+    inj = FaultInjector(plan)
     inj.begin_iteration(1)
     assert inj.perturb_measurement(100 * MB) == 75 * MB
     assert inj.stats.perturbed_measurements == 1
@@ -146,7 +145,7 @@ def test_noise_bias_shifts_measurements():
 def test_noise_outside_window_passes_through():
     plan = FaultPlan(noise=MispredictionNoise(sigma=0.5, start_iteration=10,
                                               num_iterations=2))
-    inj = plan.build()
+    inj = FaultInjector(plan)
     inj.begin_iteration(9)
     assert inj.perturb_measurement(MB) == MB
     inj.begin_iteration(12)
@@ -158,7 +157,6 @@ def test_noise_outside_window_passes_through():
 def _no_ckpt_executor(budget, faults):
     model = make_tiny_model(num_units=4, features=64)
     planner = NoCheckpointPlanner(budget)
-    planner.setup(ModelView(model))
     return TrainingExecutor(
         model, planner, capacity_bytes=budget, faults=faults
     )
@@ -202,7 +200,6 @@ def test_noise_corrupts_collect_measurements():
         m = make_tiny_model(num_units=4, features=64)
         p = MimosePlanner(budget, collect_iterations=2,
                           headroom_bytes=4 * MB)
-        p.setup(ModelView(m))
         ex = TrainingExecutor(m, p, capacity_bytes=budget, faults=faults)
         for rows in (256, 512):
             ex.step(BatchInput((rows, 64), FLOAT32))

@@ -11,7 +11,7 @@ from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
 from repro.planners.analysis import unit_saved_bytes
-from repro.planners.base import CheckpointPlan, ExecutionMode, ModelView, PlanDecision
+from repro.planners.base import CheckpointPlan, ExecutionMode, PlanDecision
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
 from repro.tensorsim.faults import FaultPlan, MispredictionNoise
@@ -22,7 +22,6 @@ from tests.helpers import GB, make_tiny_model
 def collect_with_noise(noise, sizes, seed=0, num_units=4):
     model = make_tiny_model(num_units=num_units, features=256)
     planner = NoCheckpointPlanner(8 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(
         model, planner, capacity_bytes=8 * GB,
         faults=FaultPlan(seed=seed, noise=MispredictionNoise(sigma=noise)),
@@ -98,7 +97,6 @@ def test_mimose_stays_in_budget_under_noise():
     planner = MimosePlanner(
         budget, collect_iterations=4, headroom_bytes=10 * 1024**2
     )
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(
         model, planner, capacity_bytes=budget,
         faults=FaultPlan(seed=11, noise=MispredictionNoise(sigma=0.03)),

@@ -37,8 +37,6 @@ def drop_plan(names, label):
 
 def executed_peak(model, batch, plan, capacity=64 * GB):
     planner = NoCheckpointPlanner(capacity)
-    view = ModelView(model)
-    planner.setup(view)
     ex = TrainingExecutor(model, planner, capacity_bytes=capacity)
     stats = ex.run_iteration(batch, PlanDecision(plan))
     assert not stats.oom

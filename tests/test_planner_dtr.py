@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
-from repro.planners.base import EvictableGroup, ExecutionMode, ModelView
+from repro.planners.base import EvictableGroup, ExecutionMode
 from repro.planners.dtr import DTRPlanner
 from repro.tensorsim.dtypes import FLOAT32
 
@@ -66,7 +66,6 @@ def test_dtr_evicts_to_stay_within_logical_budget():
     activations_budget = 24 * MB
     budget = static + activations_budget
     planner = DTRPlanner(budget, upkeep_time_per_tensor=0.0)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     stats = ex.step(BatchInput((1024, 512), FLOAT32))
     assert not stats.oom
@@ -78,7 +77,6 @@ def test_dtr_evicts_to_stay_within_logical_budget():
 def test_dtr_without_pressure_never_evicts():
     model = make_tiny_model(num_units=4, features=64)
     planner = DTRPlanner(4 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     stats = ex.step(BatchInput((16, 64), FLOAT32))
     assert stats.evictions == 0
@@ -91,7 +89,6 @@ def test_dtr_oom_when_pool_exhausted():
     model = make_tiny_model(num_units=2, features=512)
     static = model.static_memory().total
     planner = DTRPlanner(static + 2 * MB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=static + 2 * MB)
     stats = ex.step(BatchInput((4096, 512), FLOAT32))
     assert stats.oom

@@ -25,7 +25,6 @@ def run_tiny(*, spike_mb=0, max_retries=3):
         budget, collect_iterations=4, headroom_bytes=8 * MB,
         headroom_step=8 * MB,
     )
-    planner.setup(ModelView(model))
     faults = None
     if spike_mb:
         faults = FaultPlan(seed=3, spikes=(
@@ -120,7 +119,6 @@ def test_recovery_requires_planner_support():
     planner = SublinearPlanner(
         budget, worst_case_batch=BatchInput((1536, 512), FLOAT32)
     )
-    planner.setup(ModelView(model))
     faults = FaultPlan(spikes=(
         FragmentationSpike(start_iteration=2, num_iterations=1,
                            reserve_bytes=50 * MB),
@@ -145,7 +143,6 @@ def _fitted_planner():
         budget, collect_iterations=4, headroom_bytes=8 * MB,
         headroom_step=8 * MB,
     )
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=budget)
     for rows in ROWS[:5]:
         ex.step(BatchInput((rows, 512), FLOAT32))

@@ -35,7 +35,6 @@ ALIGNMENT_SLACK = 64 * 1024
 
 def executed_peak(model, batch, plan):
     planner = NoCheckpointPlanner(64 * GB)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=64 * GB)
     stats = ex.run_iteration(batch, PlanDecision(plan))
     assert not stats.oom
@@ -63,7 +62,6 @@ def test_segment_units_property():
 
 def test_executor_validates_segments(tiny_model):
     planner = NoCheckpointPlanner(4 * GB)
-    planner.setup(ModelView(tiny_model))
     ex = TrainingExecutor(tiny_model, planner, capacity_bytes=4 * GB)
     batch = BatchInput((8, 64), FLOAT32)
     bad_nonconsecutive = CheckpointPlan(
@@ -270,7 +268,6 @@ def test_segmented_planner_extends_below_per_unit_floor():
     assert plan.assignment.segments  # fell back to segment checkpointing
     executor_model = build_model("gpt2-small")
     p2 = SegmentedSublinearPlanner(budget, worst_case_batch=batch)
-    p2.setup(ModelView(executor_model))
     ex = TrainingExecutor(executor_model, p2, capacity_bytes=budget)
     stats = ex.step(batch)
     assert not stats.oom

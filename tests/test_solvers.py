@@ -16,6 +16,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,9 +42,11 @@ from repro.solvers import (
 )
 from repro.experiments.optimality import fitted_inputs, relative_gap
 from repro.experiments.tasks import TASKS
+from repro.tensorsim.device import V100, DeviceModel
 
 MB = 1 << 20
 GBPS = 10**9
+SLOW_LINK = DeviceModel(replace(V100, pcie_bandwidth=GBPS))
 
 
 def make_input(est, excess, est_time=None, bwd_time=None):
@@ -165,7 +168,7 @@ def test_property_no_solver_beats_the_exact_optimum(inp):
 @settings(max_examples=60, deadline=None)
 @given(inp=solver_cases())
 def test_property_lp_relaxation_lower_bounds_the_exact_optimum(inp):
-    model = PcieCostModel(pcie_bandwidth=GBPS)
+    model = PcieCostModel(SLOW_LINK)
     exact_cost = plan_cost(model, ExactSolver(model).assign(inp), inp)
     assert fractional_lower_bound(model, inp) <= exact_cost + 1e-9
 
@@ -207,9 +210,41 @@ def test_plan_cost_does_not_depend_on_the_hash_seed():
 
 def test_exact_solver_refuses_oversized_instances():
     solver = ExactSolver(PcieCostModel())
-    est = {f"u{i}": MB for i in range(solver.max_units + 1)}
+    est = {f"u{i}": MB for i in range(ExactSolver.MAX_UNITS + 1)}
     with pytest.raises(ValueError, match="unit"):
         solver.assign(make_input(est, 10 * MB))
+
+
+def test_gap_report_skips_cells_the_exact_search_refuses(monkeypatch, capsys):
+    """A size the exact search refuses is left out of every solver's row
+    instead of failing the report; ``repro gaps`` names it, and fails
+    only when no cell could be priced."""
+    from repro.__main__ import main
+    from repro.experiments import optimality
+
+    six_units = make_input(
+        {f"u{i}": (i + 1) * 8 * MB for i in range(6)},
+        40 * MB,
+        est_time={f"u{i}": 1e-3 * (i + 1) for i in range(6)},
+    )
+    oversized = make_input(
+        {f"u{i}": MB for i in range(ExactSolver.MAX_UNITS + 1)}, 10 * MB
+    )
+    inputs = [(1, six_units), (2, oversized)]
+    report = optimality.gap_report(["greedy", "exact"], inputs)
+    assert {name: set(cells) for name, cells in report.items()} == {
+        "greedy": {1}, "exact": {1},
+    }
+    assert report["exact"][1] == 0.0
+
+    monkeypatch.setattr(optimality, "fitted_inputs", lambda *a, **k: inputs)
+    assert main(["gaps"]) == 0
+    assert "refused sizes [2]" in capsys.readouterr().err
+    monkeypatch.setattr(
+        optimality, "fitted_inputs", lambda *a, **k: inputs[1:]
+    )
+    assert main(["gaps"]) == 1
+    assert "no cell could be priced" in capsys.readouterr().err
 
 
 # ------------------------------------------------- brute-force exact oracle

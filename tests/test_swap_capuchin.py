@@ -30,7 +30,6 @@ def swap_plan(names, swap):
 
 def make_executor(model, device=None, capacity=8 * GB):
     planner = NoCheckpointPlanner(capacity)
-    planner.setup(ModelView(model))
     return TrainingExecutor(model, planner, device=device, capacity_bytes=capacity)
 
 
@@ -166,7 +165,6 @@ def test_capuchin_respects_budget_for_planned_size():
     static = model.static_memory().total
     budget = static + 24 * MB
     planner = CapuchinPlanner(budget)
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB)
     batch = BatchInput((1024, 512), FLOAT32)
     stats = ex.step(batch)

@@ -8,7 +8,6 @@ from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
 from repro.models.registry import build_model
 from repro.planners.analysis import unit_saved_bytes
-from repro.planners.base import ModelView
 from repro.tensorsim.dtypes import FLOAT32
 
 from tests.helpers import GB, MB, make_tiny_model
@@ -59,7 +58,6 @@ def test_swin_window_attention_is_linear_not_quadratic(swin):
 
 def test_swin_trains_under_budget(swin):
     planner = MimosePlanner(3 * GB, collect_iterations=4)
-    planner.setup(ModelView(swin))
     ex = TrainingExecutor(swin, planner, capacity_bytes=3 * GB)
     for hw in (192, 224, 256, 288, 256, 224):
         stats = ex.step(BatchInput((8, 3, hw, hw), FLOAT32))
@@ -120,7 +118,6 @@ def test_adaptive_planner_records_residuals():
     planner = MimosePlanner(
         2 * GB, collect_iterations=4, adaptive_margin=True, headroom_bytes=4 * MB
     )
-    planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=2 * GB)
     for rows in (64, 128, 256, 192, 200, 210, 220):
         ex.step(BatchInput((rows, 512), FLOAT32))
@@ -138,7 +135,6 @@ def test_adaptive_margin_inflates_predictions():
         budget, collect_iterations=4, headroom_bytes=4 * MB, adaptive_margin=True
     )
     for planner in (plain, adaptive):
-        planner.setup(ModelView(model))
         ex = TrainingExecutor(model, planner, capacity_bytes=budget)
         for rows in (512, 1024, 1536, 768):
             ex.step(BatchInput((rows, 512), FLOAT32))
