@@ -2,9 +2,10 @@
 
 The executor drives a planner through three hooks:
 
-* :meth:`Planner.setup` — once per run, with a :class:`ModelView`.  Static
-  planners may pre-analyse the model here (their papers allow it); Mimose,
-  by design, only reads unit names and learns the rest online.
+* :meth:`Planner.setup` — once per run, with a :class:`ModelView`, when
+  the executor is built.  Static planners may pre-analyse the model here
+  (their papers allow it); Mimose, by design, only reads unit names and
+  learns the rest online.
 * :meth:`Planner.plan` — once per iteration, before the forward pass, with
   the incoming batch.  Returns a :class:`PlanDecision`.
 * :meth:`Planner.observe` — once per iteration, after execution, with the
@@ -315,7 +316,8 @@ class Planner:
     # ------------------------------------------------------------- lifecycle
 
     def setup(self, view: ModelView) -> None:
-        """Called once before training starts."""
+        """Called once before training starts: by the executor when it is
+        built, or by a caller that plans without one."""
         self.view = view
 
     def plan(self, batch: BatchInput) -> PlanDecision:
